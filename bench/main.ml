@@ -21,7 +21,7 @@ let section name f =
 let fiber_microbench () =
   print_newline ();
   Experiments.Exputil.heading "Real fiber runtime microbenchmarks (Bechamel, this machine)";
-  let pool = Fiber.create ~domains:2 () in
+  let pool = Fiber.make (Fiber.Config.make ~domains:2 ()) in
   let spawn_join_n n () =
     Fiber.run pool (fun () ->
         let ps = List.init n (fun i -> Fiber.spawn (fun () -> i)) in

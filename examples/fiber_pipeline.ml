@@ -53,7 +53,7 @@ let is_sorted a =
   !ok
 
 let () =
-  let pool = Fiber.create () in
+  let pool = Fiber.make (Fiber.Config.make ()) in
   Printf.printf "sorting service on %d worker domain(s)\n%!" (Fiber.domains pool);
   let requests = Fsync.Channel.create () in
   let replies = Fsync.Channel.create () in

@@ -20,7 +20,7 @@ let () =
   (* A pool of workers (domains), with a 5 ms preemption ticker: fibers
      that call [Fiber.check] at safe points get descheduled when their
      time slice is up — the paper's preemption model, GHC-style. *)
-  let pool = Fiber.create ~preempt_interval:5e-3 () in
+  let pool = Fiber.make (Fiber.Config.make ~preempt_interval:5e-3 ()) in
   Printf.printf "fiber pool: %d worker domain(s)\n%!" (Fiber.domains pool);
 
   (* 1. Fork-join parallelism. *)

@@ -24,7 +24,6 @@ type t = {
   telemetry_capacity : int;
   telemetry_every : int;
   telemetry_channels : int;
-  spawn_freelist : int;
 }
 
 let reject field value requirement =
@@ -69,9 +68,6 @@ let validate t =
     reject "telemetry_every" (string_of_int t.telemetry_every) "positive";
   if t.telemetry_channels < 0 then
     reject "telemetry_channels" (string_of_int t.telemetry_channels) ">= 0";
-  (* Per-worker dead-fiber free-list bound; 0 disables recycling. *)
-  if t.spawn_freelist < 0 then
-    reject "spawn_freelist" (string_of_int t.spawn_freelist) ">= 0";
   (* The sampler rides the preemption ticker; without a ticker there is
      nothing to drive it. *)
   if t.telemetry_enabled && t.preempt_interval = None then
@@ -112,7 +108,7 @@ let validate t =
 let make ?domains ?preempt_interval ?(adaptive = false) ?quantum_min
     ?quantum_max ?subpools ?(recorder = false) ?(recorder_capacity = 4096)
     ?(telemetry = false) ?(telemetry_capacity = 256) ?(telemetry_every = 4)
-    ?(telemetry_channels = 2) ?(spawn_freelist = 64) () =
+    ?(telemetry_channels = 2) () =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let subpools =
     match subpools with
@@ -135,7 +131,6 @@ let make ?domains ?preempt_interval ?(adaptive = false) ?quantum_min
       telemetry_capacity;
       telemetry_every;
       telemetry_channels;
-      spawn_freelist;
     }
   in
   validate t;

@@ -43,10 +43,6 @@ type t = {
   telemetry_channels : int;
       (** sliding-window sojourn sketches per worker (the serving
           workload uses one per service class) *)
-  spawn_freelist : int;
-      (** per-worker bound on the dead-fiber free-list backing
-          alloc-free spawn ({!Sched.spawn}'s recycle fast path); [0]
-          disables recycling entirely *)
 }
 
 (** [subpool ~name ~workers ()] — [sched] defaults to {!Scheduler.ws},
@@ -74,9 +70,7 @@ val subpool :
     [telemetry_capacity] points per worker ring (default 256), sampled
     every [telemetry_every] ticker sweeps (default 4), with
     [telemetry_channels] sojourn-window sketches per worker (default
-    2); [spawn_freelist] (default 64, [>= 0]) bounds each worker's
-    dead-fiber free-list — the pool of recycled fiber records behind
-    the alloc-free spawn fast path — with [0] disabling recycling.
+    2).
 
     @raise Invalid_argument with the uniform message above when a field
     is out of range ([quantum_min <= 0], [quantum_min > quantum_max],
@@ -95,7 +89,6 @@ val make :
   ?telemetry_capacity:int ->
   ?telemetry_every:int ->
   ?telemetry_channels:int ->
-  ?spawn_freelist:int ->
   unit ->
   t
 

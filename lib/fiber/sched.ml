@@ -1,3 +1,18 @@
+(* Promise state machine: one atomic word, CAS [Pending -> Resolved /
+   Failed].  [resolve] and [await]'s fast path never touch a lock;
+   waiters accumulate by CAS-consing onto the pending list and are woken
+   in FIFO registration order (the cons list is reversed once on
+   resolve).  [pv] is the join hint: the global id of the worker that
+   spawned the fiber behind this promise (-1 when unknown — external
+   submissions, targeted spawns).  A joiner about to suspend takes work
+   from that worker's queue and runs it inline first (see [leapfrog]). *)
+type 'a state =
+  | Pending of { pw : (unit -> unit) list; pv : int }
+  | Resolved of 'a
+  | Failed of exn
+
+type 'a promise = 'a state Atomic.t
+
 (* Worker records are written from two sides: the owner bumps
    [rng_state] on every steal probe while the ticker thread sets
    [preempt] once per interval.  Both get their own cache-line
@@ -7,28 +22,6 @@
    worker's atomic so the flags do not end up packed into one line
    either (the filler is reachable from the record, so compaction cannot
    drop it and re-pack the atomics). *)
-(* A recyclable fiber record: the free-list currency of the alloc-free
-   spawn fast path.  [rc_fiber] is the permanent trampoline closure —
-   it (and the effect handler it installs) is allocated once when the
-   cell is first created and reused for every subsequent spawn through
-   the cell; a recycle-hit spawn only writes the payload field and
-   allocates nothing but the promise and the payload pair.  [rc_task]
-   holds the ((unit -> Obj.t) * Obj.t promise) pair — body and its
-   promise — through [Obj.repr]: the uniform value representation
-   makes the punning sound, and the field is only ever read back (in
-   the cell's own runner) at the type it was stored at.  One field
-   rather than two keeps the spawn fast path at a single write
-   barrier: the cell is old, the payload young, and each such store
-   costs a ref-table entry the next minor GC must scan.  A cell is
-   released back to a free-list exactly once, in the handler's [retc]
-   — i.e. when the fiber body has returned and its promise is
-   resolved — so a parked free cell is never concurrently live. *)
-type rcell = {
-  rc_sp : int; (* home sub-pool: the trampoline's handler requeues there *)
-  mutable rc_task : Obj.t;
-  mutable rc_fiber : unit -> unit;
-}
-
 type worker = {
   wid : int;
   w_sp : int; (* owning sub-pool id *)
@@ -46,26 +39,14 @@ type worker = {
   mutable w_spawned : int;
   mutable w_local_steals : int;
   mutable w_overflow_in : int;
-  (* Raw-speed pass counters, same discipline: [w_batch_stolen] counts
-     the extra tasks a batched raid flushed into this worker's own
-     queue (beyond the one returned to run); [w_recycled] /
-     [w_recycle_miss] the spawn fast path's free-list hits and misses;
-     [w_leapfrog] tasks run inline by a joiner leapfrogging on its
-     victim before parking. *)
+  (* Same discipline: [w_batch_stolen] counts the extra tasks a
+     batched raid flushed into this worker's own queue (beyond the one
+     returned to run); [w_leapfrog] the tasks joiners on this worker
+     ran inline instead of suspending. *)
   mutable w_batch_stolen : int;
-  mutable w_recycled : int;
-  mutable w_recycle_miss : int;
   mutable w_leapfrog : int;
-  (* Dead-fiber free-list (bounded stack, owner-only): spawn pops,
-     fiber completion on this worker pushes.  [w_spill] is the cached
-     re-push closure handed to batched raids, and [w_pending0] the
-     worker's preallocated initial promise state [Pending {pw = [];
-     pv = wid}] — immutable, so every locally spawned promise can
-     share the one block (the victim hint for leapfrogging). *)
-  w_free : rcell array;
-  mutable w_free_n : int;
+  (* The cached re-push closure handed to batched raids. *)
   mutable w_spill : (unit -> unit) -> unit;
-  w_pending0 : Obj.t;
   (* Park accounting, owner-written on the park slow path only (the
      spin path never touches them): parks/wakes count condvar sleeps,
      [w_idle_s] accumulates the seconds spent inside them.  The
@@ -94,18 +75,10 @@ type subpool = {
   inst : Scheduler.instance;
   sp_lock : Mutex.t; (* held only to park and to signal sleepers *)
   sp_cond : Condition.t;
-  sp_epoch : int Atomic.t; (* bumped on every push: lost-wakeup guard *)
+  sp_epoch : int Atomic.t; (* bumped on pushes that see a sleeper *)
   sp_sleepers : int Atomic.t; (* members inside the parking protocol *)
   sp_ext_spawned : int Atomic.t; (* targeted/external submissions *)
   sp_stolen_away : int Atomic.t; (* tasks overflow-stolen from here *)
-  (* Shared overflow free-stack for recycled fiber cells homed to this
-     sub-pool (Treiber stack, approximately bounded by [sp_free_cap]).
-     Touched only when a cell dies away from home or a worker's own
-     bounded list is full/empty — the common release/acquire path is
-     the owner-only [w_free]. *)
-  sp_free : rcell list Atomic.t;
-  sp_free_n : int Atomic.t;
-  sp_free_cap : int;
 }
 
 type pool = {
@@ -124,21 +97,6 @@ type pool = {
   tel_every : int; (* sample every N ticker sweeps *)
 }
 
-(* Promise state machine: one atomic word, CAS [Pending -> Resolved /
-   Failed].  [resolve] and [await]'s fast path never touch a lock;
-   waiters accumulate by CAS-consing onto the pending list and are woken
-   in FIFO registration order (the cons list is reversed once on
-   resolve).  [pv] is the leapfrogging hint: the global id of the worker
-   that spawned the fiber behind this promise (-1 when unknown —
-   external submissions, targeted spawns).  A joiner about to park
-   raids that worker's queue directly first, on the bet that the work
-   it is waiting for (or work feeding it) is still sitting there. *)
-type 'a state =
-  | Pending of { pw : (unit -> unit) list; pv : int }
-  | Resolved of 'a
-  | Failed of exn
-
-type 'a promise = 'a state Atomic.t
 
 type _ Effect.t +=
   | Yield : unit Effect.t
@@ -160,28 +118,38 @@ let self () =
 (* Wakeups.
 
    Pushers never broadcast.  Per sub-pool, the protocol against lost
-   wakeups is the one the flat pool used:
+   wakeups is a Dekker handshake on [sp_sleepers]:
 
-     pusher:  scheduler push; incr sp_epoch; if sp_sleepers > 0 then
-              lock; signal; unlock
+     pusher:  scheduler push; if sp_sleepers > 0 then
+              incr sp_epoch; lock; signal; unlock
      sleeper: incr sp_sleepers (and the pool total); e := sp_epoch;
               full find_task sweep; if still empty: lock; if sp_epoch =
               e then wait; unlock; decr both
 
-   All counters are SC atomics, so either the pusher observes the
-   sleeper's [sp_sleepers] increment (and signals under the lock the
-   sleeper waits on), or the sleeper's subsequent sweep observes the
-   pusher's push — the under-lock [sp_epoch = e] re-check then fails and
-   the sleeper retries instead of sleeping.
+   Every scheduler push ends either in an SC atomic write (the deque's
+   [bottom] store, a front-segment CAS) or in a mutex section that the
+   sleeper's sweep also takes (the FIFO schedulers' queue locks).  So
+   the push and the sleeper's increment are ordered one way or the
+   other.  If the pusher reads [sp_sleepers = 0], that read, and the
+   push before it, precede the sleeper's increment, and the sweep that
+   follows the increment finds the task.  Otherwise the pusher bumps
+   [sp_epoch] and signals under the lock the sleeper waits on: a sleeper
+   still between its sweep and its wait fails the under-lock
+   [sp_epoch = e] re-check and retries; one already waiting receives
+   the signal.  Either the pusher sees the sleeper or the sleeper sees
+   the push.
+
+   The epoch is bumped only when a sleeper is announced, so a busy pool
+   pays two atomic loads per push and writes no shared cache line.
 
    The sub-pool twist: when the target sub-pool has no sleeper of its
    own (all members busy) but somebody is parked elsewhere, the pusher
    wakes one overflow-capable sleeper from another sub-pool — its
    re-sweep reaches the task through the cross-sub-pool overflow path.
    That sleeper's own epoch is bumped first so the wake cannot be lost
-   to its park-time re-check.  Pools with no sleepers anywhere pay one
-   atomic increment and two atomic loads per push — no mutex, no
-   condvar. *)
+   to its park-time re-check.  The same handshake covers it: the
+   sleeper raises its sub-pool's [sp_sleepers] before the pool total,
+   so a pusher that reads the total as 0 precedes the sweep. *)
 
 let signal_sp sp =
   Mutex.lock sp.sp_lock;
@@ -189,8 +157,10 @@ let signal_sp sp =
   Mutex.unlock sp.sp_lock
 
 let notify_push pool sp =
-  Atomic.incr sp.sp_epoch;
-  if Atomic.get sp.sp_sleepers > 0 then signal_sp sp
+  if Atomic.get sp.sp_sleepers > 0 then begin
+    Atomic.incr sp.sp_epoch;
+    signal_sp sp
+  end
   else if Atomic.get pool.total_sleepers > 0 then begin
     let sps = pool.subpools in
     let k = Array.length sps in
@@ -385,97 +355,6 @@ let rec resolve p outcome =
 let is_resolved p =
   match Atomic.get p with Pending _ -> false | Resolved _ | Failed _ -> true
 
-(* ------------------------------------------------------------------ *)
-(* Fiber recycling.
-
-   The spawn fast path reuses a dead fiber's [rcell] instead of
-   allocating: a recycle-hit spawn writes the cell's payload pair and
-   allocates only the promise and that pair (the promise's initial
-   [Pending] block is the spawning worker's shared [w_pending0]),
-   then pushes the cell's permanent trampoline.  The lifecycle is
-
-     spawn (pop free-list / miss -> new_cell)
-       -> rc_task written, rc_fiber pushed
-       -> trampoline runs the body under the cell's handler
-       -> body returns, promise resolved
-       -> handler [retc] releases the cell (exactly once)
-       -> free-list, ready for the next spawn
-
-   A suspended fiber never reaches [retc] — the effect branch stashes
-   the continuation and [match_with] returns without it — so a cell is
-   only ever parked after its body has fully returned, and nothing can
-   alias a cell on a free-list.  Release targets the finishing
-   worker's own bounded list when that worker belongs to the cell's
-   home sub-pool (cells capture their sub-pool in the trampoline's
-   handler, so reuse across sub-pools would requeue yields to the
-   wrong place); otherwise the cell's home sub-pool's shared stack. *)
-
-let obj_nil = Obj.repr 0
-
-let dummy_cell = { rc_sp = -1; rc_task = obj_nil; rc_fiber = (fun () -> ()) }
-
-let rec sp_free_push sp cell =
-  if Atomic.get sp.sp_free_n < sp.sp_free_cap then begin
-    let cur = Atomic.get sp.sp_free in
-    if Atomic.compare_and_set sp.sp_free cur (cell :: cur) then
-      Atomic.incr sp.sp_free_n
-    else sp_free_push sp cell
-  end
-(* else: drop it — the GC reclaims the cell like any dead fiber *)
-
-let rec sp_free_pop sp =
-  match Atomic.get sp.sp_free with
-  | [] -> None
-  | cell :: rest as cur ->
-      if Atomic.compare_and_set sp.sp_free cur rest then begin
-        Atomic.decr sp.sp_free_n;
-        Some cell
-      end
-      else sp_free_pop sp
-
-let release_cell pool cell =
-  (* Drop the payload reference first so a parked cell never pins the
-     dead body or its promise against the GC. *)
-  cell.rc_task <- obj_nil;
-  match Domain.DLS.get current_worker with
-  | Some (_, w) when w.w_sp = cell.rc_sp && w.w_free_n < Array.length w.w_free
-    ->
-      w.w_free.(w.w_free_n) <- cell;
-      w.w_free_n <- w.w_free_n + 1
-  | _ -> sp_free_push pool.subpools.(cell.rc_sp) cell
-
-(* A fresh cell — the recycle-miss path.  The runner, the handler and
-   the trampoline are allocated once here and amortized over every
-   later spawn through the cell.  The payload fields are read back at
-   exactly the types the spawn fast path stored them at; the uniform
-   value representation makes the [Obj] punning sound (the body's
-   ['a] result is passed through untouched as an [Obj.t]). *)
-(* Shared terminal state for every body whose result is the immediate
-   0 — (), 0, false and None all share that representation, and a
-   [Resolved] block is immutable, so one static block serves them
-   all.  Recycled promises are often already promoted when they
-   resolve (the old cell referenced their payload across a minor GC),
-   and a fresh young [Resolved] stored into an old atomic is a
-   ref-table entry plus a promotion; the common unit-returning
-   fan-out fiber skips both. *)
-let resolved_nil : Obj.t state = Resolved obj_nil
-
-let new_cell pool sp =
-  let cell = { rc_sp = sp.sp_id; rc_task = obj_nil; rc_fiber = (fun () -> ()) } in
-  let runner () =
-    let ((body : unit -> Obj.t), (p : Obj.t promise)) = Obj.obj cell.rc_task in
-    match body () with
-    | v ->
-        resolve p (if v == obj_nil then resolved_nil else Resolved v)
-    | exception e -> resolve p (Failed e)
-  in
-  let h =
-    let open Effect.Deep in
-    { (handler pool sp ~prio:0) with retc = (fun () -> release_cell pool cell) }
-  in
-  cell.rc_fiber <- (fun () -> Effect.Deep.match_with runner () h);
-  cell
-
 let find_sp pool name =
   let sps = pool.subpools in
   let rec go i =
@@ -486,9 +365,9 @@ let find_sp pool name =
   in
   go 0
 
-(* [hint] is the global id of the spawning worker (the leapfrogging
-   victim hint baked into the promise), or -1 for external/targeted
-   submissions where no useful victim exists. *)
+(* [hint] is the global id of the spawning worker (the join hint
+   baked into the promise), or -1 for external/targeted submissions
+   where no useful hint exists. *)
 let spawn_in pool sp ~prio ~slot ~hint body =
   let p =
     if hint >= 0 then Atomic.make (Pending { pw = []; pv = hint })
@@ -514,42 +393,9 @@ let spawn ?pool:target ?(prio = 0) body =
   | None ->
       (* Classic fork: a LIFO child of the calling worker, inside the
          caller's own sub-pool. *)
-      let sp = pool.subpools.(w.w_sp) in
       w.w_spawned <- w.w_spawned + 1;
-      if prio = 0 && Array.length w.w_free > 0 then begin
-        (* Recycle fast path: steady-state spawn allocates only the
-           promise — the initial [Pending] block is the worker's
-           shared [w_pending0] (carrying the victim hint), and the
-           fiber record, runner, handler and trampoline all come back
-           from the free-list with the cell. *)
-        let p = Atomic.make (Obj.magic w.w_pending0 : _ state) in
-        let cell =
-          if w.w_free_n > 0 then begin
-            (* The popped slot is left stale rather than cleared: a
-               push always overwrites [w_free.(w_free_n)] before
-               bumping the count, so a stale entry is never re-popped,
-               and clearing it would cost a write barrier per spawn to
-               unpin at most [spawn_freelist] small dead cells. *)
-            let i = w.w_free_n - 1 in
-            w.w_free_n <- i;
-            w.w_recycled <- w.w_recycled + 1;
-            w.w_free.(i)
-          end
-          else
-            match sp_free_pop sp with
-            | Some c ->
-                w.w_recycled <- w.w_recycled + 1;
-                c
-            | None ->
-                w.w_recycle_miss <- w.w_recycle_miss + 1;
-                new_cell pool sp
-        in
-        cell.rc_task <- Obj.repr (body, p);
-        sp.inst.i_push ~slot:w.w_slot ~prio:0 cell.rc_fiber;
-        notify_push pool sp;
-        p
-      end
-      else spawn_in pool sp ~prio ~slot:w.w_slot ~hint:w.wid body
+      spawn_in pool pool.subpools.(w.w_sp) ~prio ~slot:w.w_slot ~hint:w.wid
+        body
   | Some name ->
       (* Targeted spawn: a submission to the named sub-pool as a whole.
          It takes the external path even when the caller is a member,
@@ -561,39 +407,47 @@ let submit p ?pool:target ?(prio = 0) body =
   let sp = match target with Some name -> find_sp p name | None -> p.subpools.(0) in
   spawn_in p sp ~prio ~slot:(-1) ~hint:(-1) body
 
-(* Leapfrogging cap: a joiner runs at most this many victim tasks
-   inline per blocking attempt before falling back to suspension, so a
-   deep victim queue cannot starve the joiner's own continuation
-   indefinitely once the promise resolves. *)
+(* Inline-join cap: a joiner runs at most this many tasks inline per
+   blocking attempt before falling back to suspension, so a deep queue
+   cannot starve the joiner's own continuation indefinitely once the
+   promise resolves. *)
 let leapfrog_budget = 32
 
-(* Before suspending on an unresolved promise, raid the queue of the
-   worker that spawned the awaited fiber (the [pv] hint) and run what
-   we find inline: the awaited work — or work feeding it — is likely
-   still sitting there, and executing it directly both shortens the
-   critical path and keeps this worker busy instead of parking.  Only
-   same-sub-pool victims are raided (the directed steal goes through
-   the sub-pool's scheduler instance, and crossing the boundary would
-   bypass the overflow policy); the stolen tasks are complete fibers
-   that install their own handlers, so running them inside the
-   joiner's stack nests cleanly. *)
+(* Work-first join.  Before suspending on an unresolved promise, take
+   tasks from the queue of the worker that spawned the awaited fiber
+   (the [pv] hint) and run them inline until the promise resolves.
+   When that worker is the joiner itself, the child usually sits at the
+   bottom of its own queue, so an owner pop runs it at once, with no
+   suspend, requeue or resume.  Another worker's queue is
+   raided with a directed steal instead (leapfrogging): the awaited
+   work, or work feeding it, is likely still sitting there.  Only
+   same-sub-pool queues are taken from (the pop and the directed steal
+   go through the sub-pool's scheduler instance, and crossing the
+   boundary would bypass the overflow policy).  The tasks are complete
+   fibers that install their own handlers, so an inline task that
+   blocks or yields is caught by its own handler and control returns
+   here; the joiner then suspends as before if the promise is still
+   pending. *)
 let leapfrog p =
   match Atomic.get p with
   | Pending { pv; _ } when pv >= 0 -> (
       match Domain.DLS.get current_worker with
-      | Some (pool, w) when pv <> w.wid && pv < Array.length pool.workers ->
+      | Some (pool, w) when pv < Array.length pool.workers ->
           let vw = pool.workers.(pv) in
           if vw.w_sp = w.w_sp then begin
             let sp = pool.subpools.(w.w_sp) in
+            let own = vw == w in
             let budget = ref leapfrog_budget in
-            let more = ref true in
-            while !more && !budget > 0 && not (is_resolved p) do
-              match sp.inst.i_steal_from ~victim:vw.w_slot with
+            while !budget > 0 && not (is_resolved p) do
+              match
+                if own then sp.inst.i_pop ~slot:w.w_slot
+                else sp.inst.i_steal_from ~victim:vw.w_slot
+              with
               | Some task ->
                   w.w_leapfrog <- w.w_leapfrog + 1;
                   decr budget;
                   task ()
-              | None -> more := false
+              | None -> budget := 0
             done
           end
       | _ -> ())
@@ -847,9 +701,6 @@ let make (cfg : Config.t) =
           sp_sleepers = Atomic.make 0;
           sp_ext_spawned = Atomic.make 0;
           sp_stolen_away = Atomic.make 0;
-          sp_free = Atomic.make [];
-          sp_free_n = Atomic.make 0;
-          sp_free_cap = cfg.Config.spawn_freelist * Array.length members;
         })
       (Array.of_list cfg.Config.subpools)
   in
@@ -881,13 +732,8 @@ let make (cfg : Config.t) =
           w_local_steals = 0;
           w_overflow_in = 0;
           w_batch_stolen = 0;
-          w_recycled = 0;
-          w_recycle_miss = 0;
           w_leapfrog = 0;
-          w_free = Array.make cfg.Config.spawn_freelist dummy_cell;
-          w_free_n = 0;
           w_spill = ignore;
-          w_pending0 = Obj.repr (Pending { pw = []; pv = wid } : unit state);
           w_parks = 0;
           w_wakes = 0;
           w_idle_s = 0.0;
@@ -962,12 +808,6 @@ let make (cfg : Config.t) =
   | None, _ -> ());
   pool
 
-(* Deprecated single-pool shim: one "default" sub-pool spanning every
-   worker under the work-stealing scheduler — exactly the historical
-   flat pool.  New code should build a [Config.t]. *)
-let create ?domains ?preempt_interval () =
-  make (Config.make ?domains ?preempt_interval ())
-
 let domains pool = Array.length pool.workers
 
 let subpools pool =
@@ -1032,6 +872,7 @@ type subpool_stats = {
   st_recycled : int;
   st_recycle_miss : int;
   st_leapfrog : int;
+  st_parks : int;
   st_pending : int;
   st_quanta : (int * float) list;
 }
@@ -1046,9 +887,8 @@ let stats pool =
          let local = ref 0 in
          let ovin = ref 0 in
          let batched = ref 0 in
-         let recycled = ref 0 in
-         let misses = ref 0 in
          let leap = ref 0 in
+         let parks = ref 0 in
          Array.iter
            (fun wid ->
              let w = pool.workers.(wid) in
@@ -1056,9 +896,8 @@ let stats pool =
              local := !local + w.w_local_steals;
              ovin := !ovin + w.w_overflow_in;
              batched := !batched + w.w_batch_stolen;
-             recycled := !recycled + w.w_recycled;
-             misses := !misses + w.w_recycle_miss;
-             leap := !leap + w.w_leapfrog)
+             leap := !leap + w.w_leapfrog;
+             parks := !parks + w.w_parks)
            sp.sp_members;
          (* The sums above read plain owner-written cells while the
             owners keep bumping them; clamp negative transients the
@@ -1074,9 +913,10 @@ let stats pool =
            st_overflow_in = c !ovin;
            st_overflow_out = c (Atomic.get sp.sp_stolen_away);
            st_batch_stolen = c !batched;
-           st_recycled = c !recycled;
-           st_recycle_miss = c !misses;
+           st_recycled = 0;
+           st_recycle_miss = 0;
            st_leapfrog = c !leap;
+           st_parks = c !parks;
            st_pending = c (sp.inst.i_length ());
            st_quanta =
              Array.to_list

@@ -32,14 +32,6 @@ type 'a promise
     record that does not partition the workers. *)
 val make : Config.t -> pool
 
-(** Deprecated single-pool shim, kept for source compatibility: builds
-    [make (Config.make ?domains ?preempt_interval ())] — one
-    ["default"] sub-pool spanning every worker under the work-stealing
-    scheduler, exactly the historical flat pool.  New code should build
-    a {!Config.t}; validation errors accordingly come in
-    [Config.make]'s uniform format. *)
-val create : ?domains:int -> ?preempt_interval:float -> unit -> pool
-
 (** Total worker count across all sub-pools. *)
 val domains : pool -> int
 
@@ -75,20 +67,25 @@ val submit : pool -> ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
     The fiber is pinned: wherever it suspends or yields, it re-enters
     its home sub-pool.
 
-    Untargeted [prio = 0] spawns take the {e recycle fast path}: the
-    fiber record and its effect-handler closures come from a
-    per-worker free-list of dead fibers (bounded by
-    [Config.spawn_freelist]), so a steady-state spawn allocates only
-    the promise.  Hits and misses are visible as
-    {!subpool_stats}[.st_recycled] / [.st_recycle_miss].
+    A spawn allocates the promise, the fiber's closures and, when it
+    first runs, its effect handler and stack; nothing is recycled.  An
+    untargeted spawn also records the spawning worker in the promise,
+    the hint {!await} uses to run the child inline.
     @raise Invalid_argument on an unknown sub-pool name. *)
 val spawn : ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
 
-(** Wait for a promise; re-raises if the child failed.  Before
-    suspending, a fiber joining on an unresolved promise {e leapfrogs}:
-    it raids the queue of the worker that spawned the awaited fiber
-    (a hint carried in the promise) and runs what it finds inline,
-    shortening the critical path instead of parking. *)
+(** Wait for a promise; re-raises if the child failed.  Joins are
+    {e work-first}: before suspending on an unresolved promise, the
+    joiner runs queued tasks inline, up to 32 per attempt, until the
+    promise resolves.  If the awaited fiber was spawned on the joiner's
+    own worker, the joiner pops its own queue, where the child usually
+    sits at the bottom, so a typical fork/join runs the child as a
+    nested call with no suspend or requeue.  If another worker of the
+    same sub-pool spawned it, the joiner steals from that worker's
+    queue instead (leapfrogging).  An inline task that blocks or yields
+    is handled by its own fiber, and the joiner suspends only if the
+    promise is still pending afterwards.  Inline runs are counted in
+    {!subpool_stats}[.st_leapfrog]. *)
 val await : 'a promise -> 'a
 
 val yield : unit -> unit
@@ -140,13 +137,14 @@ type subpool_stats = {
       (** extra tasks batched raids flushed into members' own queues
           (beyond the one-per-raid counted by [st_local_steals] /
           [st_overflow_in]) *)
-  st_recycled : int;  (** spawns served from the dead-fiber free-list *)
-  st_recycle_miss : int;
-      (** recycle-eligible spawns that had to allocate a fresh fiber
-          record (cold start, free-list exhausted) *)
+  st_recycled : int;
+      (** always [0]: fiber recycling was removed; the field stays so
+          existing readers compile *)
+  st_recycle_miss : int;  (** always [0], as [st_recycled] *)
   st_leapfrog : int;
-      (** tasks joiners ran inline by leapfrogging on their await
-          victim instead of parking *)
+      (** tasks joiners ran inline instead of suspending, from their
+          own queue or the spawning worker's *)
+  st_parks : int;  (** condvar sleeps taken by idle members *)
   st_pending : int;  (** scheduler length snapshot *)
   st_quanta : (int * float) list;
       (** [(worker id, current preemption quantum in seconds)] per

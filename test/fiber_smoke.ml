@@ -15,6 +15,10 @@
       rounds is the pass.
    3. Cross-domain preemption ticker: greedy fibers on several domains
       must all be preempted at safe points and complete.
+   4-5. Racy stats snapshots and a recorded serving run (see below).
+   6. External submits into parked workers, on every built-in
+      scheduler and through the cross-sub-pool overflow wake: every
+      wakeup must arrive.
 
    Iteration counts are sized to finish in a few seconds on a single
    oversubscribed core (CI worst case). *)
@@ -104,7 +108,7 @@ let deque_stress ~stealers ~items =
 (* 2. Park/unpark hammer. *)
 
 let park_hammer ~domains ~rounds =
-  let pool = Fiber.create ~domains () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ()) in
   let total = Atomic.make 0 in
   for round = 1 to rounds do
     let n =
@@ -137,7 +141,7 @@ let park_hammer ~domains ~rounds =
 (* 3. Preemption ticker across domains. *)
 
 let preempt_smoke ~domains =
-  let pool = Fiber.create ~domains ~preempt_interval:0.002 () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ~preempt_interval:0.002 ()) in
   let finished =
     Fiber.run pool (fun () ->
         let ps =
@@ -175,7 +179,7 @@ let preempt_smoke ~domains =
    run — the same access pattern as the [repro top] display thread. *)
 
 let stats_sampler_smoke ~domains ~rounds =
-  let pool = Fiber.create ~domains ~preempt_interval:0.002 () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ~preempt_interval:0.002 ()) in
   let stop = Atomic.make false in
   let bad = Atomic.make 0 in
   let snapshots = Atomic.make 0 in
@@ -192,8 +196,6 @@ let stats_sampler_smoke ~domains ~rounds =
                 || st.Fiber.st_overflow_in < 0
                 || st.Fiber.st_overflow_out < 0
                 || st.Fiber.st_batch_stolen < 0
-                || st.Fiber.st_recycled < 0
-                || st.Fiber.st_recycle_miss < 0
                 || st.Fiber.st_leapfrog < 0
               then Atomic.incr bad)
             (Fiber.stats pool)
@@ -265,39 +267,113 @@ let serve_span_smoke () =
         s.spn_verified s.spn_complete
 
 (* ------------------------------------------------------------------ *)
-(* 6. Spawn recycling: on a single-domain pool the spawner is also the
-   runner, so dead fiber cells cycle deterministically through the
-   worker's own free-list.  With bursts no larger than the free-list
-   bound, only the first round's spawns can miss (cold list); every
-   later spawn must be served from recycled cells. *)
+(* 6. External submit into parked workers.  Pushes bump a sub-pool's
+   epoch only when they see a sleeper, so the push/sleeper handshake
+   alone must keep every wakeup: each round lets the target's workers
+   go idle (a varying gap, so some submits land mid-park-protocol and
+   some on fully parked workers), then submits from a non-worker thread
+   and waits for the result.  A lost wakeup leaves the task queued with
+   every worker asleep; the per-round deadline reports it.  [Fiber.run]
+   is never entered, so worker 0 (the caller's slot) stays idle, and
+   the target sub-pool has the single worker 1: no sibling can rescue a
+   lost wakeup by finding the task on its own. *)
 
-let recycle_smoke ~rounds ~burst =
+let wait_resolved what round p =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while not (Fiber.is_resolved p) do
+    if Unix.gettimeofday () > deadline then
+      fail "%s: lost wakeup in round %d" what round;
+    Domain.cpu_relax ()
+  done
+
+(* Odd rounds busy-wait 0-24 us, which spreads the submits over the
+   few microseconds a worker spends between its last task and the
+   condvar (spin probes, announce, re-sweep, lock); even rounds sleep
+   up to 300 us so the workers are fully parked. *)
+let idle_gap round =
+  if round land 1 = 1 then begin
+    let us = round * 7919 mod 25 in
+    let until = Unix.gettimeofday () +. (float_of_int us *. 1e-6) in
+    while Unix.gettimeofday () < until do
+      Domain.cpu_relax ()
+    done
+  end
+  else Unix.sleepf (float_of_int (round mod 4) *. 1e-4)
+
+let submit_into_parked sched ~rounds =
+  let name = Fiber.Scheduler.name sched in
   let pool =
-    Fiber.make (Fiber.Config.make ~domains:1 ~spawn_freelist:(2 * burst) ())
+    Fiber.make
+      (Fiber.Config.make ~domains:2
+         ~subpools:
+           [
+             Fiber.Config.subpool ~name:"caller" ~workers:[ 0 ] ();
+             Fiber.Config.subpool ~sched ~name:"target" ~workers:[ 1 ] ();
+           ]
+         ())
   in
-  for _round = 1 to rounds do
-    let n =
-      Fiber.run pool (fun () ->
-          let ps = List.init burst (fun i -> Fiber.spawn (fun () -> i)) in
-          List.fold_left (fun acc p -> acc + Fiber.await p) 0 ps)
+  for round = 1 to rounds do
+    idle_gap round;
+    (* Analysis-priority work takes the priority scheduler's separate
+       shared stack; the other schedulers ignore [prio]. *)
+    let ps =
+      List.init (1 + (round mod 3)) (fun i ->
+          Fiber.submit pool ~pool:"target" ~prio:(i land 1) (fun () -> round + i))
     in
-    if n <> burst * (burst - 1) / 2 then fail "recycle smoke: round sum %d" n
+    List.iter (wait_resolved ("submit into parked " ^ name) round) ps
   done;
-  let st = List.hd (Fiber.stats pool) in
   Fiber.shutdown pool;
-  let spawned = rounds * burst in
-  if st.Fiber.st_recycled + st.Fiber.st_recycle_miss <> spawned then
-    fail "recycle smoke: %d hits + %d misses <> %d spawns"
-      st.Fiber.st_recycled st.Fiber.st_recycle_miss spawned;
-  if st.Fiber.st_recycle_miss > burst then
-    fail "recycle smoke: %d misses, expected at most the cold first burst (%d)"
-      st.Fiber.st_recycle_miss burst;
-  if st.Fiber.st_recycled < (rounds - 1) * burst then
-    fail "recycle smoke: only %d spawns recycled, expected >= %d"
-      st.Fiber.st_recycled
-      ((rounds - 1) * burst);
-  Printf.printf "recycle smoke: %d/%d spawns served from the free-list\n%!"
-    st.Fiber.st_recycled spawned
+  Printf.printf "submit into parked %s: %d rounds, no lost wakeup\n%!" name
+    rounds
+
+(* The cross-sub-pool branch: "busy"'s only member spins on a blocker,
+   so "busy" has no sleeper of its own and every submit there must wake
+   the parked overflow worker of "helper" instead. *)
+let overflow_wake ~rounds =
+  let pool =
+    Fiber.make
+      (Fiber.Config.make ~domains:3
+         ~subpools:
+           [
+             Fiber.Config.subpool ~name:"caller" ~workers:[ 0 ] ();
+             Fiber.Config.subpool ~name:"busy" ~workers:[ 1 ] ();
+             Fiber.Config.subpool ~name:"helper" ~workers:[ 2 ] ();
+           ]
+         ())
+  in
+  let helper () =
+    List.find (fun st -> st.Fiber.st_name = "helper") (Fiber.stats pool)
+  in
+  let stop = Atomic.make false in
+  let started = Atomic.make false in
+  (* Both workers are parked after the settle time, so the submit wakes
+     "busy"'s own member; it keeps the blocker, pinned, to the end. *)
+  Unix.sleepf 0.01;
+  let blocker =
+    Fiber.submit pool ~pool:"busy" (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  if (helper ()).Fiber.st_overflow_in <> 0 then
+    fail "overflow wake: the helper took the blocker";
+  for round = 1 to rounds do
+    idle_gap round;
+    let p = Fiber.submit pool ~pool:"busy" (fun () -> round) in
+    wait_resolved "overflow wake" round p
+  done;
+  Atomic.set stop true;
+  wait_resolved "overflow wake (blocker)" 0 blocker;
+  let moved = (helper ()).Fiber.st_overflow_in in
+  Fiber.shutdown pool;
+  if moved < rounds then
+    fail "overflow wake: helper ran %d of %d submits" moved rounds;
+  Printf.printf "overflow wake: %d rounds served cross-sub-pool, no lost wakeup\n%!"
+    rounds
 
 let () =
   deque_stress ~stealers:3 ~items:30_000;
@@ -305,5 +381,8 @@ let () =
   preempt_smoke ~domains:2;
   stats_sampler_smoke ~domains:3 ~rounds:150;
   serve_span_smoke ();
-  recycle_smoke ~rounds:25 ~burst:16;
+  List.iter
+    (fun sched -> submit_into_parked sched ~rounds:400)
+    [ Fiber.Scheduler.ws; Fiber.Scheduler.packing; Fiber.Scheduler.priority ];
+  overflow_wake ~rounds:400;
   print_endline "fiber-smoke: OK"

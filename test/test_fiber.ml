@@ -1,7 +1,7 @@
 (* Tests for the real (executable, multicore) fiber runtime. *)
 
 let with_pool ?(domains = 2) ?preempt_interval f =
-  let pool = Fiber.create ~domains ?preempt_interval () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ?preempt_interval ()) in
   Fun.protect ~finally:(fun () -> Fiber.shutdown pool) (fun () -> f pool)
 
 let test_run_returns () =
@@ -114,7 +114,7 @@ let test_pool_reuse_across_runs () =
       Alcotest.(check int) "second" 2 (Fiber.run pool (fun () -> 2)))
 
 let test_shutdown_rejects_run () =
-  let pool = Fiber.create ~domains:1 () in
+  let pool = Fiber.make (Fiber.Config.make ~domains:1 ()) in
   Fiber.shutdown pool;
   Alcotest.check_raises "rejected" (Invalid_argument "Fiber.run: pool is shut down")
     (fun () -> ignore (Fiber.run pool (fun () -> ())))
@@ -276,6 +276,157 @@ let test_overflow_attribution () =
                       victim n)
                 s.ss_pairs))
 
+(* --- Work-first joins -------------------------------------------------
+   [await] runs queued work inline before it suspends: the joiner's own
+   queue when it spawned the child, else a directed steal from the
+   spawning worker.  Each test runs on every built-in scheduler at 1
+   and 2 domains. *)
+
+let each_shape f =
+  List.iter
+    (fun sched ->
+      List.iter
+        (fun domains ->
+          let pool =
+            Fiber.make
+              (Fiber.Config.make ~domains
+                 ~subpools:
+                   [
+                     Fiber.Config.subpool ~sched ~name:"main"
+                       ~workers:(List.init domains Fun.id) ();
+                   ]
+                 ())
+          in
+          let label =
+            Printf.sprintf "%s d%d" (Fiber.Scheduler.name sched) domains
+          in
+          Fun.protect
+            ~finally:(fun () -> Fiber.shutdown pool)
+            (fun () -> f label pool))
+        [ 1; 2 ])
+    [ Fiber.Scheduler.ws; Fiber.Scheduler.packing; Fiber.Scheduler.priority ]
+
+let sum_stats f pool = List.fold_left (fun acc st -> acc + f st) 0 (Fiber.stats pool)
+
+(* No cutoff: every call but the leaves spawns, so a call of [n] makes
+   F(n+1) - 1 spawns. *)
+let rec fib_nocut n =
+  if n < 2 then n
+  else
+    let a = Fiber.spawn (fun () -> fib_nocut (n - 1)) in
+    let b = fib_nocut (n - 2) in
+    Fiber.await a + b
+
+let test_inline_fib () =
+  each_shape (fun label pool ->
+      Alcotest.(check int) (label ^ " fib 22") 17711
+        (Fiber.run pool (fun () -> fib_nocut 22));
+      Alcotest.(check int) (label ^ " spawns = F(23) - 1") 28656
+        (sum_stats (fun st -> st.Fiber.st_spawned) pool))
+
+(* Child 5 awaits a grandchild that raises, so the exception crosses two
+   nested inline frames; it must reach child 5's awaiter and nobody
+   else. *)
+let test_inline_child_raises () =
+  each_shape (fun label pool ->
+      let got =
+        Fiber.run pool (fun () ->
+            let ps =
+              List.init 10 (fun i ->
+                  Fiber.spawn (fun () ->
+                      if i = 5 then
+                        Fiber.await (Fiber.spawn (fun () -> failwith "boom"))
+                      else i * i))
+            in
+            (* Newest first: each child is at the bottom of the queue
+               when it is awaited. *)
+            List.rev_map
+              (fun p ->
+                match Fiber.await p with
+                | v -> Ok v
+                | exception Failure m -> Error m)
+              (List.rev ps))
+      in
+      Alcotest.(check (list (result int string)))
+        label
+        (List.init 10 (fun i -> if i = 5 then Error "boom" else Ok (i * i)))
+        got)
+
+(* The child run inline blocks twice: on a channel whose sender yields
+   60 times first, and on a promise whose fiber yields 100 times.  Both
+   exceed the inline budget of 32, so the joiner runs out of work it may
+   take and suspends; it must resume with the child's value. *)
+let test_inline_child_blocks () =
+  each_shape (fun label pool ->
+      let v =
+        Fiber.run pool (fun () ->
+            let ch = Fiber.Fsync.Channel.create () in
+            let sender =
+              Fiber.spawn (fun () ->
+                  for _ = 1 to 60 do
+                    Fiber.yield ()
+                  done;
+                  Fiber.Fsync.Channel.send ch 41)
+            in
+            let slow =
+              Fiber.spawn (fun () ->
+                  for _ = 1 to 100 do
+                    Fiber.yield ()
+                  done;
+                  1)
+            in
+            let child =
+              Fiber.spawn (fun () ->
+                  let x = Fiber.Fsync.Channel.recv ch in
+                  x + Fiber.await slow)
+            in
+            let r = Fiber.await child in
+            Fiber.await sender;
+            r)
+      in
+      Alcotest.(check int) label 42 v)
+
+(* Awaiting 200 children in spawn order: on a LIFO queue the first
+   await pops the newest children, spends its whole budget and
+   suspends; the worker loop finishes the rest and resumes it. *)
+let test_inline_parallel_map () =
+  each_shape (fun label pool ->
+      let xs = List.init 200 Fun.id in
+      let got = Fiber.run pool (fun () -> Fiber.parallel_map (fun x -> 3 * x) xs) in
+      Alcotest.(check (list int)) label (List.map (fun x -> 3 * x) xs) got;
+      Alcotest.(check int) (label ^ " spawns") 200
+        (sum_stats (fun st -> st.Fiber.st_spawned) pool);
+      if label = "ws d1" then
+        Alcotest.(check int) "ws d1: one full budget inline" 32
+          (sum_stats (fun st -> st.Fiber.st_leapfrog) pool))
+
+(* Counters that gate on any host.  On one domain nobody steals, so
+   every child is still at the bottom of its parent's queue when it is
+   awaited: each join must complete inline (leapfrogs = spawns) and the
+   worker must never park.  The allocation bound is 25% above the
+   46.1 words per spawn measured with OCaml 5.1.1 (no flambda); the
+   count is deterministic on one domain. *)
+let minor_words_per_spawn_bound = 57.6
+
+let test_inline_counter_gate () =
+  let pool = Fiber.make (Fiber.Config.make ~domains:1 ()) in
+  Fun.protect
+    ~finally:(fun () -> Fiber.shutdown pool)
+    (fun () ->
+      let w0 = Gc.minor_words () in
+      let v = Fiber.run pool (fun () -> fib_nocut 15) in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check int) "fib 15" 610 v;
+      let spawns = sum_stats (fun st -> st.Fiber.st_spawned) pool in
+      Alcotest.(check int) "spawns = F(16) - 1" 986 spawns;
+      Alcotest.(check int) "every join inline" spawns
+        (sum_stats (fun st -> st.Fiber.st_leapfrog) pool);
+      Alcotest.(check int) "no parks" 0 (sum_stats (fun st -> st.Fiber.st_parks) pool);
+      let per_spawn = words /. float_of_int spawns in
+      if per_spawn > minor_words_per_spawn_bound then
+        Alcotest.failf "%.1f minor words per spawn, bound %.1f" per_spawn
+          minor_words_per_spawn_bound)
+
 let test_deque_basics () =
   let d = Fiber.Deque.create () in
   Fiber.Deque.push d 1;
@@ -308,4 +459,13 @@ let suite =
       test_priority_targeted_prio_spawn;
     Alcotest.test_case "overflow attribution" `Quick test_overflow_attribution;
     Alcotest.test_case "deque basics" `Quick test_deque_basics;
+    Alcotest.test_case "inline join: no-cutoff fib" `Quick test_inline_fib;
+    Alcotest.test_case "inline join: child raises" `Quick
+      test_inline_child_raises;
+    Alcotest.test_case "inline join: child blocks" `Quick
+      test_inline_child_blocks;
+    Alcotest.test_case "inline join: parallel_map budget" `Quick
+      test_inline_parallel_map;
+    Alcotest.test_case "inline join: counter gate" `Quick
+      test_inline_counter_gate;
   ]

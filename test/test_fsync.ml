@@ -3,7 +3,7 @@
 module Fsync = Fiber.Fsync
 
 let with_pool ?(domains = 3) f =
-  let pool = Fiber.create ~domains () in
+  let pool = Fiber.make (Fiber.Config.make ~domains ()) in
   Fun.protect ~finally:(fun () -> Fiber.shutdown pool) (fun () -> f pool)
 
 let test_mutex_counter () =
