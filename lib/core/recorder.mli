@@ -95,7 +95,7 @@ val ev_pool_steal : int
 val ev_quantum_change : int
 (** Real fiber runtime, adaptive ticker: a worker's preemption quantum
     moved ([a] = worker id, [b] = new quantum in nanoseconds).  Emitted
-    into the {e global} ring — the ticker thread is its only writer
+    into the {e global} ring — the ticker domain is its only writer
     there, keeping every worker ring single-writer. *)
 
 (** {2 Per-request span codes}

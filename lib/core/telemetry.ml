@@ -4,7 +4,7 @@
    guard on [t.on] (one boolean load when disabled); an enabled sample
    is one plain store per field into preallocated per-worker rings —
    no allocation, no locks, no atomics.  Each ring has a single
-   writer: the ticker thread writes every [sample] field, and each
+   writer: the ticker domain writes every [sample] field, and each
    worker owns its own window sketches through [observe].  Readers
    (the live view, tests) reconstruct series from [count mod capacity]
    exactly like [Recorder.ring_events]; a torn read can show a point

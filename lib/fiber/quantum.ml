@@ -6,7 +6,7 @@
    short requests queued behind long ones) and decays geometrically
    back toward the configured base interval once the backlog drains.
 
-   Purity is the point: the ticker thread in [Sched] feeds it live
+   Purity is the point: the ticker domain in [Sched] feeds it live
    snapshots, while test_serve feeds it hand-built sequences and pins
    shrink/grow/clamp behaviour with no wall clock or domains involved. *)
 

@@ -2,7 +2,7 @@
     queueing-pressure snapshot to the next per-worker quantum
     (LibPreemptible-style adaptive user-space scheduling).
 
-    The ticker thread of an adaptive pool ({!Config.make}
+    The ticker domain of an adaptive pool ({!Config.make}
     [~adaptive:true]) calls {!next} once per expired per-worker
     deadline; because the controller is a pure function of [stats],
     its shrink/grow/clamp behaviour is pinned deterministically by

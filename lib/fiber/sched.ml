@@ -14,7 +14,7 @@ type 'a state =
 type 'a promise = 'a state Atomic.t
 
 (* Worker records are written from two sides: the owner bumps
-   [rng_state] on every steal probe while the ticker thread sets
+   [rng_state] on every steal probe while the ticker domain sets
    [preempt] once per interval.  Both get their own cache-line
    neighborhood: the record is padded past 64 bytes so adjacent workers
    in [pool.workers] do not share a line, and each [preempt] atomic is
@@ -28,7 +28,7 @@ type worker = {
   w_slot : int; (* index within the sub-pool's scheduler *)
   preempt : bool Atomic.t; (* set by the ticker, cleared at safe points *)
   (* Current preemption quantum in seconds.  Written only by the ticker
-     thread (at most once per quantum expiry), read racily by [stats];
+     domain (at most once per quantum expiry), read racily by [stats];
      a stale read is fine for diagnostics.  Fixed-interval pools keep it
      pinned at [preempt_interval]; tickerless pools at 0. *)
   mutable w_quantum : float;
@@ -89,7 +89,7 @@ type pool = {
   shutdown : bool Atomic.t;
   preempt_interval : float option;
   quantum_bounds : (float * float) option; (* (min, max); Some iff adaptive *)
-  mutable ticker : Thread.t option;
+  mutable ticker : unit Domain.t option;
   preempt_count : int Atomic.t;
   recorder : Preempt_core.Recorder.t;
   rec_t0 : float; (* wall-clock origin of recorder timestamps *)
@@ -565,7 +565,7 @@ let domain_main pool w = worker_loop pool w ~until:(fun () -> false)
 (* ------------------------------------------------------------------ *)
 (* Telemetry sampling.  The sampler rides the preemption ticker: every
    [pool.tel_every] sweeps it stores one point per worker into the
-   telemetry rings (making the ticker thread the rings' single
+   telemetry rings (making the ticker domain the rings' single
    writer).  All inputs are racy plain-counter reads — Telemetry
    clamps transients — and utilization is derived by differencing each
    worker's cumulative park-idle seconds against the previous sweep,
@@ -621,7 +621,7 @@ let ticker_loop pool interval =
    run-queue depth of the worker's sub-pool (external submissions
    included — [i_length] counts them), shrinking under backlog and
    decaying back toward [interval] when idle.  Deadlines are
-   ticker-thread private; only the resulting [w_quantum] is published
+   ticker-domain private; only the resulting [w_quantum] is published
    (for [stats]) and an [ev_quantum_change] recorded per move.  The
    sleep between sweeps tracks the nearest deadline, floored at a
    quarter of the adaptive floor so a deeply-shrunk pool does not turn
@@ -799,12 +799,15 @@ let make (cfg : Config.t) =
   pool.doms <-
     List.init (n - 1) (fun i ->
         Domain.spawn (fun () -> domain_main pool workers.(i + 1)));
+  (* The ticker gets a domain of its own: as a systhread it would share
+     worker 0's runtime lock, and a fiber spinning there without a safe
+     point would hold it off until OCaml's 50 ms master-lock tick. *)
   (match (cfg.Config.preempt_interval, quantum_bounds) with
   | Some dt, Some (q_min, q_max) ->
       pool.ticker <-
-        Some (Thread.create (fun () -> ticker_adaptive pool dt ~q_min ~q_max) ())
+        Some (Domain.spawn (fun () -> ticker_adaptive pool dt ~q_min ~q_max))
   | Some dt, None ->
-      pool.ticker <- Some (Thread.create (fun () -> ticker_loop pool dt) ())
+      pool.ticker <- Some (Domain.spawn (fun () -> ticker_loop pool dt))
   | None, _ -> ());
   pool
 
@@ -959,8 +962,9 @@ let shutdown pool =
   Atomic.set pool.shutdown true;
   notify_all pool;
   List.iter Domain.join pool.doms;
-  (match pool.ticker with Some t -> Thread.join t | None -> ());
-  pool.doms <- []
+  Option.iter Domain.join pool.ticker;
+  pool.doms <- [];
+  pool.ticker <- None
 
 let parallel_map f xs =
   let ps = List.map (fun x -> spawn (fun () -> f x)) xs in

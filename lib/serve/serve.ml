@@ -99,9 +99,8 @@ let validate c =
     reject "telemetry" "true" "combined with preempt_interval"
 
 (* ------------------------------------------------------------------ *)
-(* Arrival schedule: (arrival offset, class) rows, offset-ascending,
-   deterministic in the seed.  Same xorshift as the runtime's victim
-   selection; [u01] maps to (0, 1]. *)
+(* Arrival schedule, deterministic in the seed.  Same xorshift as the
+   runtime's victim selection; [u01] maps to (0, 1]. *)
 
 let make_rng seed =
   let state = ref (if seed = 0 then 0x9e3779b9 else seed land max_int) in
@@ -115,23 +114,51 @@ let make_rng seed =
 
 let u01 rng = (float_of_int (rng () land 0xFFFFFF) +. 1.0) /. 16777217.0
 
+let cls_id = function Short -> 0 | Long -> 1
+
+let cls_of_id = function 0 -> Short | _ -> Long
+
+(* The compact schedule [run] injects from: arrival [i] is due
+   [at.(i)] seconds after injection starts (an unboxed float array) and
+   has class id [kind.[i]] (one byte).  Both have room for at least [n]
+   rows; rows past [n] are unused. *)
+type arrivals = { n : int; at : float array; kind : Bytes.t }
+
 (* Poisson arrivals at [rate]: exponential gaps.  Bursty arrivals reuse
    the same stream at rate/on_frac and then stretch time so gaps fall
    only inside the on-window of each period (off-window time is skipped
-   over), keeping the mean offered rate at [rate]. *)
-let schedule c =
+   over), keeping the mean offered rate at [rate].  Each arrival draws
+   its class, then the next gap. *)
+let arrivals c =
   validate c;
   let rng = make_rng c.seed in
-  let rows = ref [] in
+  (* Room for the expected count plus four standard deviations, so the
+     arrays are filled in place and (almost) never regrown. *)
+  let expect = c.rate *. c.duration in
+  let cap = int_of_float (expect +. (4.0 *. sqrt expect)) + 16 in
+  let at = ref (Array.make cap 0.0) and kind = ref (Bytes.make cap '\000') in
   let n = ref 0 in
+  let add t =
+    if !n = Array.length !at then begin
+      let cap = 2 * !n in
+      let at' = Array.make cap 0.0 and kind' = Bytes.make cap '\000' in
+      Array.blit !at 0 at' 0 !n;
+      Bytes.blit !kind 0 kind' 0 !n;
+      at := at';
+      kind := kind'
+    end;
+    !at.(!n) <- t;
+    Bytes.set_uint8 !kind !n
+      (cls_id (if u01 rng < c.long_frac then Long else Short));
+    incr n
+  in
   (match c.arrival with
   | Poisson ->
       let t = ref 0.0 in
       let gap () = -.log (u01 rng) /. c.rate in
       t := !t +. gap ();
       while !t < c.duration do
-        incr n;
-        rows := (!t, if u01 rng < c.long_frac then Long else Short) :: !rows;
+        add !t;
         t := !t +. gap ()
       done
   | Bursty { period; on_frac } ->
@@ -146,13 +173,14 @@ let schedule c =
       in
       tau := !tau +. gap ();
       while to_wall !tau < c.duration do
-        incr n;
-        rows :=
-          (to_wall !tau, if u01 rng < c.long_frac then Long else Short)
-          :: !rows;
+        add (to_wall !tau);
         tau := !tau +. gap ()
       done);
-  Array.of_list (List.rev !rows)
+  { n = !n; at = !at; kind = !kind }
+
+let schedule c =
+  let a = arrivals c in
+  Array.init a.n (fun i -> (a.at.(i), cls_of_id (Bytes.get_uint8 a.kind i)))
 
 (* ------------------------------------------------------------------ *)
 (* Reports. *)
@@ -184,35 +212,43 @@ type report = {
 
 let quantile_or_nan h p = if Hist.count h = 0 then Float.nan else Hist.quantile h p
 
-let class_report ~cls ~offered lat =
-  let h = Hist.create () in
-  let completed = ref 0 in
-  Array.iter
-    (fun v ->
-      if not (Float.is_nan v) then begin
-        incr completed;
-        Hist.add h v
-      end)
-    lat;
-  {
-    cr_class = cls;
-    cr_offered = offered;
-    cr_completed = !completed;
-    cr_mean = (if !completed = 0 then Float.nan else Hist.mean h);
-    cr_p50 = quantile_or_nan h 50.0;
-    cr_p99 = quantile_or_nan h 99.0;
-    cr_p999 = quantile_or_nan h 99.9;
-    cr_hist = h;
-  }
+(* One pass over the sojourn slots fills both classes' histograms; a
+   NaN slot is a request that never recorded a sojourn. *)
+let class_reports (a : arrivals) lat =
+  let hists = [| Hist.create (); Hist.create () |] in
+  let offered = [| 0; 0 |] in
+  for i = 0 to a.n - 1 do
+    let k = Bytes.get_uint8 a.kind i in
+    offered.(k) <- offered.(k) + 1;
+    if not (Float.is_nan lat.(i)) then Hist.add hists.(k) lat.(i)
+  done;
+  let report k =
+    let h = hists.(k) in
+    let completed = Hist.count h in
+    {
+      cr_class = cls_of_id k;
+      cr_offered = offered.(k);
+      cr_completed = completed;
+      cr_mean = (if completed = 0 then Float.nan else Hist.mean h);
+      cr_p50 = quantile_or_nan h 50.0;
+      cr_p99 = quantile_or_nan h 99.0;
+      cr_p999 = quantile_or_nan h 99.9;
+      cr_hist = h;
+    }
+  in
+  (report (cls_id Short), report (cls_id Long))
 
 (* ------------------------------------------------------------------ *)
-(* The run itself. *)
-
-let cls_id = function Short -> 0 | Long -> 1
+(* The run itself.  Memory per offered request is the schedule's float
+   and class byte plus one float sojourn slot; request fibers, their
+   closures and promises are garbage once the request completes.
+   Completion is one latch: every request decrements [remaining] on
+   its way out, exception or not, and the last one releases [drained],
+   the only thing the injector ever blocks on. *)
 
 let run ?dump ?on_pool c =
-  let sched = schedule c in
-  let n = Array.length sched in
+  let a = arrivals c in
+  let n = a.n in
   let pool =
     Fiber.make
       (Fiber.Config.make ~domains:c.domains ?preempt_interval:c.preempt_interval
@@ -227,14 +263,42 @@ let run ?dump ?on_pool c =
   let module R = Preempt_core.Recorder in
   (* Per-request sojourn, written by the request fiber into its own
      slot (disjoint writes, no shared histogram on the hot path). *)
-  let lat = Array.make (Stdlib.max 1 n) Float.nan in
-  let promises = Array.make (Stdlib.max 1 n) None in
+  let lat = Array.make n Float.nan in
+  let remaining = Atomic.make n in
+  let failure = Atomic.make None in
+  let drained = Fiber.Fsync.Semaphore.create 0 in
+  let serve i ~due =
+    let ch = Bytes.get_uint8 a.kind i in
+    let service = if ch = cls_id Long then c.long_service else c.short_service in
+    if traced then Fiber.emit_flight R.ev_req_dispatch i 0;
+    let deadline = wall () +. service in
+    while wall () < deadline do
+      if traced && Fiber.preempt_pending () then begin
+        (* Bracket the yield we are about to take so the span
+           decomposition can attribute the gap to preemption overhead.
+           Benignly racy: a flag raised between the probe and [check]
+           is taken unbracketed and lands in service time. *)
+        Fiber.emit_flight R.ev_req_preempt i 0;
+        Fiber.check ();
+        Fiber.emit_flight R.ev_req_resume i 0
+      end
+      else Fiber.check ()
+    done;
+    (* One clock read feeds the latency sample, the span completion
+       timestamp and its sojourn payload, so the decomposition
+       reproduces the measured sojourn exactly. *)
+    let tdone = wall () in
+    let sojourn = tdone -. due in
+    lat.(i) <- sojourn;
+    if traced then
+      Fiber.emit_flight ~at:tdone R.ev_req_done i (int_of_float (sojourn *. 1e9));
+    Fiber.telemetry_observe ~channel:ch sojourn
+  in
   let t0 = ref 0.0 in
   Fiber.run pool (fun () ->
       t0 := wall ();
       for i = 0 to n - 1 do
-        let offset, cls = sched.(i) in
-        let due = !t0 +. offset in
+        let due = !t0 +. a.at.(i) in
         (* Open loop: spin to the scheduled instant; never wait for
            completions.  No [Fiber.check] here — the injector must not
            be descheduled in favor of a request, or the load would
@@ -242,49 +306,22 @@ let run ?dump ?on_pool c =
         while wall () < due do
           ()
         done;
-        let service =
-          match cls with Short -> c.short_service | Long -> c.long_service
-        in
-        let ch = cls_id cls in
         (* Span head: the request id is the schedule index, allocated
            here at injection and carried into the fiber by capture.
            Arrival is stamped at the *scheduled* instant, so injector
            lateness shows up as an arrival -> enqueue gap. *)
         if traced then begin
-          Fiber.emit_flight ~at:due R.ev_req_arrival i ch;
+          Fiber.emit_flight ~at:due R.ev_req_arrival i (Bytes.get_uint8 a.kind i);
           Fiber.emit_flight R.ev_req_enqueue i 0
         end;
-        promises.(i) <-
-          Some
-            (Fiber.submit pool (fun () ->
-                 if traced then Fiber.emit_flight R.ev_req_dispatch i 0;
-                 let deadline = wall () +. service in
-                 while wall () < deadline do
-                   if traced && Fiber.preempt_pending () then begin
-                     (* Bracket the yield we are about to take so the
-                        span decomposition can attribute the gap to
-                        preemption overhead.  Benignly racy: a flag
-                        raised between the probe and [check] is taken
-                        unbracketed and lands in service time. *)
-                     Fiber.emit_flight R.ev_req_preempt i 0;
-                     Fiber.check ();
-                     Fiber.emit_flight R.ev_req_resume i 0
-                   end
-                   else Fiber.check ()
-                 done;
-                 (* One clock read feeds the latency sample, the span
-                    completion timestamp and its sojourn payload, so
-                    the decomposition reproduces the measured sojourn
-                    exactly. *)
-                 let tdone = wall () in
-                 let sojourn = tdone -. due in
-                 lat.(i) <- sojourn;
-                 if traced then
-                   Fiber.emit_flight ~at:tdone R.ev_req_done i
-                     (int_of_float (sojourn *. 1e9));
-                 Fiber.telemetry_observe ~channel:ch sojourn))
+        ignore
+          (Fiber.submit pool (fun () ->
+               (try serve i ~due
+                with e -> ignore (Atomic.compare_and_set failure None (Some e)));
+               if Atomic.fetch_and_add remaining (-1) = 1 then
+                 Fiber.Fsync.Semaphore.release drained))
       done;
-      Array.iter (function Some p -> Fiber.await p | None -> ()) promises);
+      if n > 0 then Fiber.Fsync.Semaphore.acquire drained);
   let elapsed = wall () -. !t0 in
   let preemptions = Fiber.preemptions pool in
   let subpools = Fiber.stats pool in
@@ -303,20 +340,9 @@ let run ?dump ?on_pool c =
   in
   stop_live ();
   Fiber.shutdown pool;
-  let split cls0 =
-    let lat' = Array.make (Stdlib.max 1 n) Float.nan in
-    let offered = ref 0 in
-    Array.iteri
-      (fun i (_, cls) ->
-        if cls = cls0 then begin
-          incr offered;
-          lat'.(i) <- lat.(i)
-        end)
-      sched;
-    class_report ~cls:cls0 ~offered:!offered lat'
-  in
-  let short = split Short in
-  let long = split Long in
+  (* The first request to raise, as awaiting its promise would have. *)
+  Option.iter raise (Atomic.get failure);
+  let short, long = class_reports a lat in
   {
     r_config = c;
     r_offered = n;

@@ -59,7 +59,10 @@ val validate : config -> unit
 
 (** The run's arrival schedule as [(offset, class)] rows,
     offset-ascending — a pure function of the config (seeded), so equal
-    configs give byte-identical schedules.  Validates first. *)
+    configs give byte-identical schedules.  Built from the same
+    generator {!run} injects from, which keeps the offsets in an
+    unboxed float array and the classes in one byte each.  Validates
+    first. *)
 val schedule : config -> (float * cls) array
 
 type class_report = {
@@ -100,7 +103,16 @@ type report = {
     attribution.  [?on_pool] is called with the freshly built pool
     before injection starts (the live-view attach point, see
     {!Top.attach}); the closure it returns is called after the run
-    drains, before pool teardown. *)
+    drains, before pool teardown.
+
+    Memory: about 2.3 live words per offered request (the schedule's
+    offset and class byte, plus one float sojourn slot); a request's
+    fiber and closure are garbage once it completes.  The injector
+    waits on one completion latch: every request counts down an
+    atomic on its way out, exception or not, and the last one releases
+    a semaphore the injector blocks on once.  If a request raised,
+    [run] shuts the pool down and re-raises the first such
+    exception. *)
 val run : ?dump:string -> ?on_pool:(Fiber.pool -> unit -> unit) -> config -> report
 
 val cls_name : cls -> string

@@ -14,7 +14,8 @@
       run (the driver's timeout is the failure detector); completing all
       rounds is the pass.
    3. Cross-domain preemption ticker: greedy fibers on several domains
-      must all be preempted at safe points and complete.
+      must all be preempted at safe points and complete, and a worker
+      spinning with no safe point must not starve the ticker.
    4-5. Racy stats snapshots and a recorded serving run (see below).
    6. External submits into parked workers, on every built-in
       scheduler and through the cross-sub-pool overflow wake: every
@@ -149,8 +150,8 @@ let preempt_smoke ~domains =
               Fiber.spawn (fun () ->
                   (* Greedy until somebody (us or a sibling) takes a
                      preemption, with a generous deadline: on an
-                     oversubscribed single-core CI box the ticker
-                     thread may only get scheduled every ~50 ms. *)
+                     oversubscribed single-core CI box the OS may run
+                     the ticker domain late. *)
                   let t0 = Unix.gettimeofday () in
                   while
                     Fiber.preemptions pool = 0
@@ -169,6 +170,51 @@ let preempt_smoke ~domains =
   if preempted = 0 then fail "preempt smoke: ticker never preempted anybody";
   Printf.printf "preempt smoke: %d greedy fibers on %d domains, %d preemptions\n%!"
     finished domains preempted
+
+(* 3b. Ticker starvation: worker 0 spins with no safe point while a
+   fiber on worker 1 polls [check].  The ticker must keep flagging
+   worker 1 at its quantum regardless of what runs on worker 0: a
+   ticker that shares worker 0's runtime lock only gets in at OCaml's
+   50 ms master-lock tick, about 10 preemptions in the window.  The
+   floor is 10x that, about 6% of the rate the ticker delivers with
+   worker 0 asleep. *)
+
+let ticker_starvation () =
+  let quantum = 200e-6 and window = 0.5 and floor = 100 in
+  let pool = Fiber.make (Fiber.Config.make ~domains:2 ~preempt_interval:quantum ()) in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let preempted =
+    Fiber.run pool (fun () ->
+        let poller =
+          Fiber.spawn (fun () ->
+              Atomic.set started true;
+              while not (Atomic.get stop) do
+                Fiber.check ()
+              done)
+        in
+        (* Worker 0 runs this fiber and never reaches a safe point, so
+           only worker 1 can have picked the poller up. *)
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let before = Fiber.preemptions pool in
+        let until = Unix.gettimeofday () +. window in
+        while Unix.gettimeofday () < until do
+          ()
+        done;
+        let n = Fiber.preemptions pool - before in
+        Atomic.set stop true;
+        Fiber.await poller;
+        n)
+  in
+  Fiber.shutdown pool;
+  if preempted < floor then
+    fail "ticker starvation: %d preemptions in %.1f s at a %.0f us quantum \
+          with worker 0 busy (need >= %d)"
+      preempted window (quantum *. 1e6) floor;
+  Printf.printf
+    "ticker starvation: %d preemptions in %.1f s with worker 0 busy\n%!"
+    preempted window
 
 (* ------------------------------------------------------------------ *)
 (* 4. Concurrent stats sampler: [Fiber.stats] reads racy plain
@@ -379,6 +425,7 @@ let () =
   deque_stress ~stealers:3 ~items:30_000;
   park_hammer ~domains:3 ~rounds:400;
   preempt_smoke ~domains:2;
+  ticker_starvation ();
   stats_sampler_smoke ~domains:3 ~rounds:150;
   serve_span_smoke ();
   List.iter

@@ -1,9 +1,10 @@
-(* Deterministic tests for the serving workload's pure pieces: the
-   adaptive-quantum controller (a pure function of a queueing
-   snapshot), the seeded arrival schedule, the config rejections, and
-   the shared re-measure-once perf gate.  Nothing here builds a pool,
-   spawns a domain, or reads the wall clock — the suite is exact and
-   single-threaded by construction. *)
+(* Tests for the serving workload.  Most are deterministic and touch
+   no pool: the adaptive-quantum controller (a pure function of a
+   queueing snapshot), the seeded arrival schedule, the config
+   rejections, and the shared re-measure-once perf gate.  The "run:"
+   cases drive [Serve.run] on a small 2-domain pool, with no ticker, to
+   pin its completion latch and its memory per offered request; they
+   assert counts and heap words, never wall-clock figures. *)
 
 module Q = Serve.Quantum
 module G = Experiments.Gate
@@ -144,6 +145,119 @@ let test_schedule_bursty_on_window () =
         (phase <= (period *. on_frac) +. 1e-9))
     rows
 
+(* A seeded schedule must never move: runs, saved flight records and
+   benchmark windows are compared across versions by seed.  Changing
+   how the generator stores rows must keep its RNG draw order. *)
+let test_schedule_pinned () =
+  let rows = Serve.schedule small in
+  Alcotest.(check int) "row count" 233 (Array.length rows);
+  let expect =
+    [|
+      (0x1.e9305fa6721d6p-14, Serve.Long);
+      (0x1.d8ae503a7a43fp-13, Serve.Short);
+      (0x1.9132606e7b698p-12, Serve.Short);
+      (0x1.2a887738a6d2fp-11, Serve.Short);
+      (0x1.50120913e040bp-11, Serve.Short);
+    |]
+  in
+  Array.iteri
+    (fun i (t, cls) ->
+      let t', cls' = rows.(i) in
+      Alcotest.(check bool)
+        (Printf.sprintf "row %d offset %h" i t)
+        true (Float.equal t t');
+      Alcotest.(check string)
+        (Printf.sprintf "row %d class" i)
+        (Serve.cls_name cls) (Serve.cls_name cls'))
+    expect;
+  (* All of a 0.1 s bursty horizon falls in the first 10% on-window, so
+     it offers ten times the mean count and outgrows the generator's
+     initial room. *)
+  let rows =
+    Serve.schedule
+      {
+        small with
+        Serve.duration = 0.1;
+        arrival = Serve.Bursty { period = 1.0; on_frac = 0.1 };
+      }
+  in
+  Alcotest.(check int) "bursty row count" 5012 (Array.length rows);
+  let t, cls = rows.(5011) in
+  Alcotest.(check bool) "bursty last offset" true
+    (Float.equal t 0x1.994ae4433535fp-4);
+  Alcotest.(check string) "bursty last class" "short" (Serve.cls_name cls)
+
+(* ------------------------------------------------------------------ *)
+(* [Serve.run] on a real pool, ticker off. *)
+
+let on_two =
+  { small with Serve.domains = 2; preempt_interval = None; short_service = 5e-6 }
+
+let check_split name (r : Serve.report) ~short ~long =
+  Alcotest.(check int) (name ^ ": all offered completed") r.Serve.r_offered
+    r.Serve.r_completed;
+  Alcotest.(check int) (name ^ ": short offered") short
+    r.Serve.r_short.Serve.cr_offered;
+  Alcotest.(check int) (name ^ ": long offered") long
+    r.Serve.r_long.Serve.cr_offered;
+  Alcotest.(check int) (name ^ ": short completed") short
+    r.Serve.r_short.Serve.cr_completed;
+  Alcotest.(check int) (name ^ ": long completed") long
+    r.Serve.r_long.Serve.cr_completed
+
+let test_run_no_arrivals () =
+  (* The first gap at 0.001 req/s is far past a 1 ms horizon, so the
+     latch starts at zero and the injector must not block on it. *)
+  let c = { on_two with Serve.rate = 0.001; duration = 0.001 } in
+  Alcotest.(check int) "empty schedule" 0 (Array.length (Serve.schedule c));
+  let r = Serve.run c in
+  check_split "no arrivals" r ~short:0 ~long:0;
+  Alcotest.(check int) "nothing offered" 0 r.Serve.r_offered
+
+let test_run_class_split () =
+  let n = Array.length (Serve.schedule on_two) in
+  check_split "long_frac 0"
+    (Serve.run { on_two with Serve.long_frac = 0.0 })
+    ~short:n ~long:0;
+  check_split "long_frac 1"
+    (Serve.run { on_two with Serve.long_frac = 1.0; long_service = 50e-6 })
+    ~short:0 ~long:n
+
+(* Live heap words per offered request, read after a full major
+   collection at the stop hook, when every request has completed but
+   the pool and the run's own arrays are still live.  What [run] keeps
+   per request is the schedule's float and class byte plus a float
+   sojourn slot, about 2.2 words; a promise per request (3 words for
+   [Some] plus the promise) would break the bound. *)
+let test_run_live_words () =
+  let c =
+    {
+      Serve.default with
+      Serve.rate = 20_000.0;
+      duration = 0.25;
+      domains = 2;
+      preempt_interval = None;
+    }
+  in
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let during = ref 0 in
+  let r =
+    Serve.run
+      ~on_pool:(fun _ () ->
+        Gc.full_major ();
+        during := (Gc.stat ()).Gc.live_words)
+      c
+  in
+  Alcotest.(check int) "all offered completed" r.Serve.r_offered
+    r.Serve.r_completed;
+  let per_req =
+    float_of_int (!during - before) /. float_of_int r.Serve.r_offered
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f live words per offered request (<= 3.0)" per_req)
+    true (per_req <= 3.0)
+
 (* ------------------------------------------------------------------ *)
 (* Config rejections: exact "Serve: <field> = <value> (must be ...)"
    strings, so the CLI error surface is pinned. *)
@@ -244,7 +358,13 @@ let suite =
       test_schedule_class_purity;
     Alcotest.test_case "bursty arrivals stay in on-window" `Quick
       test_schedule_bursty_on_window;
+    Alcotest.test_case "schedule pinned rows" `Quick test_schedule_pinned;
     Alcotest.test_case "config rejections" `Quick test_validate_rejections;
+    Alcotest.test_case "run: no arrivals" `Quick test_run_no_arrivals;
+    Alcotest.test_case "run: class split at long_frac 0/1" `Quick
+      test_run_class_split;
+    Alcotest.test_case "run: live words per request" `Quick
+      test_run_live_words;
     Alcotest.test_case "gate: pass without retry" `Quick
       test_gate_pass_no_retry;
     Alcotest.test_case "gate: transient fail then retry pass" `Quick
