@@ -170,8 +170,7 @@ let observe =
 (* ------------------------------------------------------------------ *)
 
 let serve_main rate duration mix arrival burst_period burst_on seed domains
-    preempt fixed quantum_min quantum_max json chrome dump top top_json
-    top_period =
+    preempt json chrome dump top top_json top_period =
   let fail msg =
     prerr_endline ("repro serve: " ^ msg);
     exit 1
@@ -195,10 +194,8 @@ let serve_main rate duration mix arrival burst_period burst_on seed domains
       domains = Option.value domains ~default:d.Serve.domains;
       preempt_interval =
         (match preempt with Some i -> Some i | None -> d.Serve.preempt_interval);
-      adaptive = not fixed;
-      quantum_min;
-      quantum_max;
       recorder = chrome <> None || dump <> None;
+      dump;
       telemetry = top || top_json;
     }
   in
@@ -214,7 +211,7 @@ let serve_main rate duration mix arrival burst_period burst_on seed domains
             pool)
     else None
   in
-  let rep = Serve.run ?dump ?on_pool cfg in
+  let rep = Serve.run ?on_pool cfg in
   (match dump with
   | Some path -> Printf.eprintf "flight record written to %s\n%!" path
   | None -> ());
@@ -230,9 +227,8 @@ let serve =
   let doc =
     "Drive the fiber runtime with an open-loop serving workload (seeded \
      Poisson or bursty arrivals at a fixed offered rate, short/long request \
-     mix) and report per-class sojourn p50/p99/p99.9; adaptive per-worker \
-     preemption quanta by default ($(b,--fixed) pins the base interval).  \
-     See docs/serving.md."
+     mix) and report per-class sojourn p50/p99/p99.9 under a fixed \
+     preemption quantum ($(b,--preempt)).  See docs/serving.md."
   in
   let rate =
     Arg.(
@@ -294,29 +290,7 @@ let serve =
       value
       & opt (some float) None
       & info [ "preempt" ] ~docv:"S"
-          ~doc:"Base preemption interval in seconds (default 2 ms).")
-  in
-  let fixed =
-    Arg.(
-      value & flag
-      & info [ "fixed" ]
-          ~doc:
-            "Keep the preemption quantum pinned at the base interval instead \
-             of letting the $(b,Quantum) controller adapt it to queue depth.")
-  in
-  let quantum_min =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "quantum-min" ] ~docv:"S"
-          ~doc:"Adaptive floor in seconds (default: base / 8).")
-  in
-  let quantum_max =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "quantum-max" ] ~docv:"S"
-          ~doc:"Adaptive ceiling in seconds (default: the base interval).")
+          ~doc:"Preemption quantum in seconds (default 200 us).")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
@@ -328,7 +302,7 @@ let serve =
       & info [ "chrome-trace" ] ~docv:"FILE"
           ~doc:
             "Arm the flight recorder and write the run's events (steals, \
-             quantum changes) as Chrome trace_events JSON to $(docv).")
+             request spans) as Chrome trace_events JSON to $(docv).")
   in
   let dump =
     Arg.(
@@ -365,8 +339,8 @@ let serve =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve_main $ rate $ duration $ mix $ arrival $ burst_period
-      $ burst_on $ seed $ domains $ preempt $ fixed $ quantum_min
-      $ quantum_max $ json $ chrome $ dump $ top $ top_json $ top_period)
+      $ burst_on $ seed $ domains $ preempt $ json $ chrome $ dump $ top
+      $ top_json $ top_period)
 
 (* ------------------------------------------------------------------ *)
 (* repro top — live telemetry view over a self-driven workload        *)
@@ -398,10 +372,9 @@ let top_cmd =
     "Live telemetry view: drive the default serving workload \
      ($(b,repro serve)) with per-worker time-series sampling armed and \
      redraw per-sub-pool worker tables, queue-depth sparklines, the \
-     steal split, the adaptive-quanta range, and rolling per-class \
-     p50/p99 once a second until the run drains.  $(b,--json) swaps the \
-     terminal redraw for one JSON object per tick (JSONL).  The same \
-     view attaches to any serving run via $(b,repro serve --top)."
+     steal split and rolling per-class p50/p99 once a second until the \
+     run drains.  $(b,--json) swaps the terminal redraw for one JSON \
+     object per tick (JSONL).  The same view attaches to any serving run via $(b,repro serve --top)."
   in
   let rate =
     Arg.(

@@ -638,8 +638,7 @@ let telemetry_ring_prog env =
     let util = if i mod 2 = 0 then 1.5 else -0.25 in
     Telemetry.sample t ~worker:0
       ~ts:(float_of_int i *. 1e-3)
-      ~depth ~steals_in:i ~steals_out:(i / 2) ~parks:i ~wakes:i
-      ~quantum:1e-3 ~util;
+      ~depth ~steals_in:i ~steals_out:(i / 2) ~parks:i ~wakes:i ~util;
     Telemetry.observe t ~worker:0 ~channel:0 (float_of_int (i + 1) *. 1e-4);
     if (i + 1) mod 3 = 0 then Telemetry.rotate_windows t
   in

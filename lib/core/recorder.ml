@@ -59,12 +59,9 @@ let ev_pool_steal = 22
    fiber runtime (lib/fiber) on every successful steal: [a = b] is a
    same-sub-pool steal, [a <> b] a cross-sub-pool overflow steal. *)
 
-let ev_quantum_change = 23
-(* a = worker id, b = new preemption quantum in ns.  Emitted into the
-   global ring by the real fiber runtime's adaptive ticker
-   (lib/fiber/sched.ml) whenever the Quantum controller moves a
-   worker's quantum — the ticker is the only writer of the global
-   ring there, so worker-local rings stay single-writer. *)
+(* Code 23 is retired: it carried adaptive-quantum changes, a mechanism
+   since removed.  It stays unassigned so old dumps do not decode it as
+   a different event. *)
 
 (* Per-request span events, emitted by the serving workload (lib/serve)
    through [Fiber.emit_flight].  [a] is always the request id; every
@@ -113,7 +110,6 @@ let code_name = function
   | 20 -> "klt-dispatch"
   | 21 -> "klt-block"
   | 22 -> "pool-steal"
-  | 23 -> "quantum-change"
   | 24 -> "req-arrival"
   | 25 -> "req-enqueue"
   | 26 -> "req-dispatch"

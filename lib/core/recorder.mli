@@ -92,11 +92,8 @@ val ev_pool_steal : int
     ([a] = thief sub-pool id, [b] = victim sub-pool id; [a = b] is a
     same-sub-pool steal, [a <> b] cross-sub-pool overflow). *)
 
-val ev_quantum_change : int
-(** Real fiber runtime, adaptive ticker: a worker's preemption quantum
-    moved ([a] = worker id, [b] = new quantum in nanoseconds).  Emitted
-    into the {e global} ring — the ticker domain is its only writer
-    there, keeping every worker ring single-writer. *)
+(* Code 23 is retired (it carried adaptive-quantum changes) and stays
+   unassigned. *)
 
 (** {2 Per-request span codes}
 

@@ -19,7 +19,6 @@ type point = {
   p_steals_out : int;  (* cumulative: work stolen away from the sub-pool *)
   p_parks : int;  (* cumulative: times the worker parked on the condvar *)
   p_wakes : int;  (* cumulative: times the worker was woken after a park *)
-  p_quantum : float;  (* current preemption quantum, seconds *)
   p_util : float;  (* fraction of the last sample period spent unparked *)
 }
 
@@ -32,7 +31,6 @@ type wring = {
   w_sout : int array;
   w_parks : int array;
   w_wakes : int array;
-  w_quantum : float array;
   w_util : float array;
   mutable w_count : int;  (* total samples ever written to this ring *)
 }
@@ -45,7 +43,6 @@ let make_wring capacity =
     w_sout = Array.make capacity 0;
     w_parks = Array.make capacity 0;
     w_wakes = Array.make capacity 0;
-    w_quantum = Array.make capacity 0.0;
     w_util = Array.make capacity 0.0;
     w_count = 0;
   }
@@ -111,7 +108,7 @@ let channels t = if Array.length t.windows = 0 then 0 else Array.length t.window
 (* The sampler reads racy plain counters maintained by other threads;
    clamp transients here so a stored point never shows a negative
    count or an out-of-range utilization. *)
-let sample t ~worker ~ts ~depth ~steals_in ~steals_out ~parks ~wakes ~quantum ~util =
+let sample t ~worker ~ts ~depth ~steals_in ~steals_out ~parks ~wakes ~util =
   if t.on then begin
     let r = t.rings.(worker) in
     let i = r.w_count mod t.capacity in
@@ -122,7 +119,6 @@ let sample t ~worker ~ts ~depth ~steals_in ~steals_out ~parks ~wakes ~quantum ~u
     r.w_sout.(i) <- clamp steals_out;
     r.w_parks.(i) <- clamp parks;
     r.w_wakes.(i) <- clamp wakes;
-    r.w_quantum.(i) <- quantum;
     r.w_util.(i) <- (if util < 0.0 then 0.0 else if util > 1.0 then 1.0 else util);
     r.w_count <- r.w_count + 1
   end
@@ -131,43 +127,28 @@ let total_samples t = Array.fold_left (fun acc r -> acc + r.w_count) 0 t.rings
 
 let samples t ~worker = t.rings.(worker).w_count
 
+let point t r seq =
+  let i = seq mod t.capacity in
+  {
+    p_seq = seq;
+    p_ts = r.w_ts.(i);
+    p_depth = r.w_depth.(i);
+    p_steals_in = r.w_sin.(i);
+    p_steals_out = r.w_sout.(i);
+    p_parks = r.w_parks.(i);
+    p_wakes = r.w_wakes.(i);
+    p_util = r.w_util.(i);
+  }
+
 let series t ~worker =
   let r = t.rings.(worker) in
   let kept = min r.w_count t.capacity in
   let first = r.w_count - kept in
-  Array.init kept (fun k ->
-      let seq = first + k in
-      let i = seq mod t.capacity in
-      {
-        p_seq = seq;
-        p_ts = r.w_ts.(i);
-        p_depth = r.w_depth.(i);
-        p_steals_in = r.w_sin.(i);
-        p_steals_out = r.w_sout.(i);
-        p_parks = r.w_parks.(i);
-        p_wakes = r.w_wakes.(i);
-        p_quantum = r.w_quantum.(i);
-        p_util = r.w_util.(i);
-      })
+  Array.init kept (fun k -> point t r (first + k))
 
 let latest t ~worker =
   let r = t.rings.(worker) in
-  if r.w_count = 0 then None
-  else
-    let seq = r.w_count - 1 in
-    let i = seq mod t.capacity in
-    Some
-      {
-        p_seq = seq;
-        p_ts = r.w_ts.(i);
-        p_depth = r.w_depth.(i);
-        p_steals_in = r.w_sin.(i);
-        p_steals_out = r.w_sout.(i);
-        p_parks = r.w_parks.(i);
-        p_wakes = r.w_wakes.(i);
-        p_quantum = r.w_quantum.(i);
-        p_util = r.w_util.(i);
-      }
+  if r.w_count = 0 then None else Some (point t r (r.w_count - 1))
 
 let clear t =
   Array.iter (fun r -> r.w_count <- 0) t.rings;

@@ -28,7 +28,6 @@ type point = {
   p_steals_out : int;  (** cumulative work stolen away from the sub-pool *)
   p_parks : int;  (** cumulative condvar parks *)
   p_wakes : int;  (** cumulative wakes after a park *)
-  p_quantum : float;  (** current preemption quantum, seconds *)
   p_util : float;  (** fraction of the last sample period unparked, [0,1] *)
 }
 
@@ -79,7 +78,6 @@ val sample :
   steals_out:int ->
   parks:int ->
   wakes:int ->
-  quantum:float ->
   util:float ->
   unit
 (** Store one point in [worker]'s ring.  No-op while disabled (the

@@ -272,7 +272,7 @@ let of_flight (evs : Preempt_core.Recorder.event array) =
         c = Recorder.ev_sig_post || c = Recorder.ev_preempt_req
         || c = Recorder.ev_preempt_done || c = Recorder.ev_timer_fire
         || c = Recorder.ev_steal || c = Recorder.ev_klt_remap
-        || c = Recorder.ev_pool_steal || c = Recorder.ev_quantum_change
+        || c = Recorder.ev_pool_steal
       then
         push
           {

@@ -1,13 +1,13 @@
 (** Re-measure-once ratio gates for wall-clock perf assertions.
 
     The shared decision logic behind bench/perf.ml's same-process
-    gates (sub-pool isolation, d4/d1 scaling, fixed-vs-adaptive serve
-    p99): a ratio must clear a minimum; the claim needs a minimum core
-    count or the assertion is skipped (ratio still printed); and a
-    failing first sample earns exactly one fresh re-measure — host
-    load is transient, a real regression reproduces — before the gate
-    fails.  Pure given its inputs, so unit-testable with stub
-    measurements (see test/test_serve.ml). *)
+    gates (sub-pool isolation, d4/d1 scaling): a ratio must clear a
+    minimum; the claim needs a minimum core count or the assertion is
+    skipped (ratio still printed); and a failing first sample earns
+    exactly one fresh re-measure — host load is transient, a real
+    regression reproduces — before the gate fails.  Pure given its
+    inputs, so unit-testable with stub measurements (see
+    test/test_serve.ml). *)
 
 type verdict =
   | Pass of { ratio : float; retried : bool }

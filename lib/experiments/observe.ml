@@ -83,25 +83,6 @@ type steal_split = {
           for dumps predating batched raids. *)
 }
 
-(* Adaptive-quantum attribution (real fiber runtime dumps): the ticker
-   emits [ev_quantum_change] with (worker id, new quantum in ns) each
-   time the controller moves a worker's quantum, so the record shows
-   how far and how often preemption tightened under load. *)
-type quantum_row = {
-  qr_worker : int;
-  qr_changes : int;
-  qr_min : float;  (** smallest quantum reached, seconds *)
-  qr_max : float;  (** largest quantum reached, seconds *)
-  qr_last : float;  (** quantum at end of record, seconds *)
-}
-
-type quantum_split = {
-  qs_changes : int;
-  qs_shrinks : int;  (** changes that tightened the quantum *)
-  qs_grows : int;  (** changes that relaxed it back toward base *)
-  qs_rows : quantum_row list;  (** per worker, sorted by worker id *)
-}
-
 (* Per-request span decomposition (serving-workload dumps): each
    request's [ev_req_arrival .. ev_req_done] events split its sojourn
    into queueing (arrival -> first dispatch), preemption overhead
@@ -149,9 +130,6 @@ type report = {
   r_steals : steal_split option;
       (** [None] when the record carries no pool-steal events (the
           simulated runtime never emits them) *)
-  r_quanta : quantum_split option;
-      (** [None] when the record carries no quantum-change events
-          (fixed-interval pools, simulated runtime) *)
   r_spans : span_split option;
       (** [None] when the record carries no per-request span events
           (anything but a recorder-armed serving run) *)
@@ -239,42 +217,6 @@ let steal_split_of events =
         ss_batches =
           Hashtbl.fold (fun size n acc -> (size, n) :: acc) batches []
           |> List.sort compare;
-      }
-
-let quantum_split_of events =
-  (* Per worker: (changes, min, max, last).  Events come from the single
-     ticker writer, so per-worker order survives the ring merge. *)
-  let tbl = Hashtbl.create 8 in
-  let shrinks = ref 0 and grows = ref 0 in
-  Array.iter
-    (fun (e : Recorder.event) ->
-      if e.Recorder.e_code = Recorder.ev_quantum_change then begin
-        let w = e.Recorder.e_a in
-        let q = float_of_int e.Recorder.e_b *. 1e-9 in
-        (match Hashtbl.find_opt tbl w with
-        | None -> Hashtbl.replace tbl w (1, q, q, q)
-        | Some (n, lo, hi, last) ->
-            if q < last then incr shrinks else if q > last then incr grows;
-            Hashtbl.replace tbl w (n + 1, Float.min lo q, Float.max hi q, q))
-      end)
-    events;
-  if Hashtbl.length tbl = 0 then None
-  else
-    let rows =
-      Hashtbl.fold
-        (fun w (n, lo, hi, last) acc ->
-          { qr_worker = w; qr_changes = n; qr_min = lo; qr_max = hi;
-            qr_last = last }
-          :: acc)
-        tbl []
-      |> List.sort (fun a b -> compare a.qr_worker b.qr_worker)
-    in
-    Some
-      {
-        qs_changes = List.fold_left (fun a r -> a + r.qr_changes) 0 rows;
-        qs_shrinks = !shrinks;
-        qs_grows = !grows;
-        qs_rows = rows;
       }
 
 (* Walking state per request while scanning the (ts-ordered) event
@@ -418,7 +360,6 @@ let analyze ?metrics ?(overwritten = [||]) ~n_workers ~rings ~capacity ~emitted
     r_anomalies = never @ timing;
     r_consistency = Option.bind metrics (consistency_of chains);
     r_steals = steal_split_of events;
-    r_quanta = quantum_split_of events;
     r_spans = span_split_of events;
   }
 
@@ -526,19 +467,6 @@ let print_text r =
             Printf.printf "    size %2d: %d raid(s)\n" size n)
           s.ss_batches
       end);
-  (match r.r_quanta with
-  | None -> ()
-  | Some q ->
-      Printf.printf
-        "\nadaptive-quantum attribution: %d change(s) (%d shrink, %d grow)\n"
-        q.qs_changes q.qs_shrinks q.qs_grows;
-      List.iter
-        (fun row ->
-          Printf.printf
-            "  worker %d: %d change(s), quantum %s..%s ms, last %s ms\n"
-            row.qr_worker row.qr_changes (ms row.qr_min) (ms row.qr_max)
-            (ms row.qr_last))
-        q.qs_rows);
   (match r.r_spans with
   | None -> ()
   | Some s ->
@@ -670,21 +598,6 @@ let to_json r =
                  (fun (size, n) ->
                    Printf.sprintf "{\"size\":%d,\"count\":%d}" size n)
                  s.ss_batches))));
-  (match r.r_quanta with
-  | None -> ()
-  | Some q ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",\"quanta\":{\"changes\":%d,\"shrinks\":%d,\"grows\":%d,\"workers\":[%s]}"
-           q.qs_changes q.qs_shrinks q.qs_grows
-           (String.concat ","
-              (List.map
-                 (fun row ->
-                   Printf.sprintf
-                     "{\"worker\":%d,\"changes\":%d,\"min\":%s,\"max\":%s,\"last\":%s}"
-                     row.qr_worker row.qr_changes (jf row.qr_min)
-                     (jf row.qr_max) (jf row.qr_last))
-                 q.qs_rows))));
   (match r.r_spans with
   | None -> ()
   | Some s ->

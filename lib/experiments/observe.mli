@@ -54,27 +54,6 @@ type steal_split = {
           itself.  Empty for dumps predating batched raids. *)
 }
 
-(** Adaptive-quantum attribution, reconstructed from
-    [Recorder.ev_quantum_change] events in dumps saved by an adaptive
-    fiber pool ([Config.adaptive]).  Each event carries (worker id, new
-    quantum in ns); per-worker change ordering is the ticker's emission
-    order (single writer).  See docs/observability.md for the event
-    schema. *)
-type quantum_row = {
-  qr_worker : int;
-  qr_changes : int;
-  qr_min : float;  (** smallest quantum reached, seconds *)
-  qr_max : float;  (** largest quantum reached, seconds *)
-  qr_last : float;  (** quantum at end of record, seconds *)
-}
-
-type quantum_split = {
-  qs_changes : int;
-  qs_shrinks : int;  (** changes that tightened the quantum *)
-  qs_grows : int;  (** changes that relaxed it back toward base *)
-  qs_rows : quantum_row list;  (** per worker, sorted by worker id *)
-}
-
 (** Per-request span decomposition, reconstructed from the
     [Recorder.ev_req_arrival] .. [ev_req_done] events emitted by a
     recorder-armed serving run ([Serve] with [recorder = true]).  The
@@ -126,9 +105,6 @@ type report = {
   r_steals : steal_split option;
       (** [None] when the record carries no pool-steal events (the
           simulated runtime never emits them) *)
-  r_quanta : quantum_split option;
-      (** [None] when the record carries no quantum-change events
-          (fixed-interval pools, simulated runtime) *)
   r_spans : span_split option;
       (** [None] when the record carries no per-request span events
           (anything but a recorder-armed serving run) *)

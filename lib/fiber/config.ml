@@ -14,9 +14,6 @@ type subpool = {
 type t = {
   domains : int;
   preempt_interval : float option;
-  adaptive : bool;
-  quantum_min : float option;
-  quantum_max : float option;
   subpools : subpool list;
   recorder_enabled : bool;
   recorder_capacity : int;
@@ -41,25 +38,6 @@ let validate t =
   | Some dt when dt <= 0.0 ->
       reject "preempt_interval" (Printf.sprintf "%g" dt) "positive"
   | _ -> ());
-  (* Adaptive-quantum knobs.  The bounds are rejected whenever they are
-     nonsensical — even on a non-adaptive pool, where they are merely
-     dormant — so a typo fails fast instead of surfacing only once
-     [adaptive] is flipped on. *)
-  (match t.quantum_min with
-  | Some q when q <= 0.0 || Float.is_nan q ->
-      reject "quantum_min" (Printf.sprintf "%g" q) "positive"
-  | _ -> ());
-  (match t.quantum_max with
-  | Some q when q <= 0.0 || Float.is_nan q ->
-      reject "quantum_max" (Printf.sprintf "%g" q) "positive"
-  | _ -> ());
-  (match (t.quantum_min, t.quantum_max) with
-  | Some lo, Some hi when lo > hi ->
-      reject "quantum_min" (Printf.sprintf "%g" lo)
-        (Printf.sprintf "<= quantum_max (%g)" hi)
-  | _ -> ());
-  if t.adaptive && t.preempt_interval = None then
-    reject "adaptive" "true" "combined with preempt_interval";
   if t.recorder_capacity < 1 then
     reject "recorder_capacity" (string_of_int t.recorder_capacity) "positive";
   if t.telemetry_capacity < 1 then
@@ -105,10 +83,9 @@ let validate t =
              (t.domains - 1) w))
     owner
 
-let make ?domains ?preempt_interval ?(adaptive = false) ?quantum_min
-    ?quantum_max ?subpools ?(recorder = false) ?(recorder_capacity = 4096)
-    ?(telemetry = false) ?(telemetry_capacity = 256) ?(telemetry_every = 4)
-    ?(telemetry_channels = 2) () =
+let make ?domains ?preempt_interval ?subpools ?(recorder = false)
+    ?(recorder_capacity = 4096) ?(telemetry = false) ?(telemetry_capacity = 256)
+    ?(telemetry_every = 4) ?(telemetry_channels = 2) () =
   let domains = match domains with Some d -> d | None -> default_domains () in
   let subpools =
     match subpools with
@@ -121,9 +98,6 @@ let make ?domains ?preempt_interval ?(adaptive = false) ?quantum_min
     {
       domains;
       preempt_interval;
-      adaptive;
-      quantum_min;
-      quantum_max;
       subpools;
       recorder_enabled = recorder;
       recorder_capacity;

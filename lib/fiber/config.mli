@@ -23,13 +23,8 @@ type subpool = {
 type t = {
   domains : int;
   preempt_interval : float option;
-  adaptive : bool;
-      (** per-worker adaptive preemption quanta ({!Quantum}); requires
-          [preempt_interval] *)
-  quantum_min : float option;
-      (** adaptive floor; defaults to [preempt_interval /. 8.] *)
-  quantum_max : float option;
-      (** adaptive ceiling; defaults to [preempt_interval] *)
+      (** the ticker's fixed preemption interval in seconds; [None]
+          runs the pool without a ticker *)
   subpools : subpool list;
   recorder_enabled : bool;
   recorder_capacity : int;
@@ -59,11 +54,8 @@ val subpool :
     [Domain.recommended_domain_count () - 1] (at least 1); [subpools]
     defaults to a single ["default"] sub-pool spanning every worker
     (the shape of the historical flat pool); [preempt_interval]
-    (seconds, positive) arms the preemption ticker; [adaptive] (default
-    [false]) switches the ticker from one fixed global interval to
-    per-worker quanta driven by the pure {!Quantum} controller, within
-    [[quantum_min, quantum_max]] (both positive; defaults
-    [preempt_interval /. 8.] and [preempt_interval]); [recorder]
+    (seconds, positive) arms the preemption ticker, which flags every
+    worker once per interval; [recorder]
     (default off) arms the flight recorder with [recorder_capacity]
     events per worker ring (default 4096); [telemetry] (default off,
     requires [preempt_interval]) arms live time-series sampling with
@@ -73,15 +65,12 @@ val subpool :
     2).
 
     @raise Invalid_argument with the uniform message above when a field
-    is out of range ([quantum_min <= 0], [quantum_min > quantum_max],
-    [adaptive] without [preempt_interval], ...) or the sub-pools do not
-    partition the workers. *)
+    is out of range ([preempt_interval <= 0], [telemetry] without
+    [preempt_interval], ...) or the sub-pools do not partition the
+    workers. *)
 val make :
   ?domains:int ->
   ?preempt_interval:float ->
-  ?adaptive:bool ->
-  ?quantum_min:float ->
-  ?quantum_max:float ->
   ?subpools:subpool list ->
   ?recorder:bool ->
   ?recorder_capacity:int ->

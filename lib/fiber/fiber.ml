@@ -1,7 +1,6 @@
 (* Library facade: the runtime API plus its companion modules. *)
 include Sched
 module Config = Config
-module Quantum = Quantum
 module Scheduler = Scheduler
 module Deque = Deque
 module Fsync = Fsync

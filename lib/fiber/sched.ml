@@ -27,11 +27,6 @@ type worker = {
   w_sp : int; (* owning sub-pool id *)
   w_slot : int; (* index within the sub-pool's scheduler *)
   preempt : bool Atomic.t; (* set by the ticker, cleared at safe points *)
-  (* Current preemption quantum in seconds.  Written only by the ticker
-     domain (at most once per quantum expiry), read racily by [stats];
-     a stale read is fine for diagnostics.  Fixed-interval pools keep it
-     pinned at [preempt_interval]; tickerless pools at 0. *)
-  mutable w_quantum : float;
   mutable rng_state : int;
   (* Owner-written counters, aggregated racily by [stats] (stale reads
      are fine for diagnostics); keeping them plain avoids shared-atomic
@@ -87,8 +82,6 @@ type pool = {
   mutable doms : unit Domain.t list;
   total_sleepers : int Atomic.t; (* sum of all sp_sleepers *)
   shutdown : bool Atomic.t;
-  preempt_interval : float option;
-  quantum_bounds : (float * float) option; (* (min, max); Some iff adaptive *)
   mutable ticker : unit Domain.t option;
   preempt_count : int Atomic.t;
   recorder : Preempt_core.Recorder.t;
@@ -404,6 +397,7 @@ let spawn ?pool:target ?(prio = 0) body =
       spawn_in pool (find_sp pool name) ~prio ~slot:(-1) ~hint:(-1) body
 
 let submit p ?pool:target ?(prio = 0) body =
+  if Atomic.get p.shutdown then invalid_arg "Fiber.submit: pool is shut down";
   let sp = match target with Some name -> find_sp p name | None -> p.subpools.(0) in
   spawn_in p sp ~prio ~slot:(-1) ~hint:(-1) body
 
@@ -597,7 +591,7 @@ let make_sampler pool =
           ~depth:(sp.inst.i_length ())
           ~steals_in:(w.w_local_steals + w.w_overflow_in)
           ~steals_out:(Atomic.get sp.sp_stolen_away)
-          ~parks:w.w_parks ~wakes:w.w_wakes ~quantum:w.w_quantum ~util)
+          ~parks:w.w_parks ~wakes:w.w_wakes ~util)
       pool.workers;
     prev_ts := now;
     incr samples;
@@ -613,64 +607,6 @@ let ticker_loop pool interval =
     incr sweeps;
     if Preempt_core.Telemetry.enabled tel && !sweeps mod pool.tel_every = 0 then
       sampler ()
-  done
-
-(* Adaptive ticker: each worker keeps its own expiry deadline.  When a
-   deadline passes, the worker is flagged for preemption and the pure
-   [Quantum] controller picks its next quantum from the current
-   run-queue depth of the worker's sub-pool (external submissions
-   included — [i_length] counts them), shrinking under backlog and
-   decaying back toward [interval] when idle.  Deadlines are
-   ticker-domain private; only the resulting [w_quantum] is published
-   (for [stats]) and an [ev_quantum_change] recorded per move.  The
-   sleep between sweeps tracks the nearest deadline, floored at a
-   quarter of the adaptive floor so a deeply-shrunk pool does not turn
-   the ticker into a spin loop. *)
-let ticker_adaptive pool interval ~q_min ~q_max =
-  let n = Array.length pool.workers in
-  let now0 = Unix.gettimeofday () in
-  let deadline = Array.make n (now0 +. interval) in
-  let r = pool.recorder in
-  let tel = pool.telemetry in
-  let sampler = make_sampler pool in
-  let sweeps = ref 0 in
-  while not (Atomic.get pool.shutdown) do
-    let now = Unix.gettimeofday () in
-    let nearest = ref infinity in
-    Array.iteri
-      (fun i w ->
-        if now >= deadline.(i) then begin
-          Atomic.set w.preempt true;
-          let sp = pool.subpools.(w.w_sp) in
-          let q =
-            Quantum.next
-              {
-                Quantum.q_current = w.w_quantum;
-                q_base = interval;
-                q_min;
-                q_max;
-                q_depth = sp.inst.i_length ();
-                q_members = Array.length sp.sp_members;
-              }
-          in
-          if q <> w.w_quantum then begin
-            if Preempt_core.Recorder.enabled r then
-              Preempt_core.Recorder.emit r
-                (Preempt_core.Recorder.global_ring r)
-                (now -. pool.rec_t0)
-                Preempt_core.Recorder.ev_quantum_change w.wid
-                (int_of_float (q *. 1e9));
-            w.w_quantum <- q
-          end;
-          deadline.(i) <- now +. q
-        end;
-        if deadline.(i) < !nearest then nearest := deadline.(i))
-      pool.workers;
-    incr sweeps;
-    if Preempt_core.Telemetry.enabled tel && !sweeps mod pool.tel_every = 0 then
-      sampler ();
-    let sleep = !nearest -. Unix.gettimeofday () in
-    Thread.delay (Float.min interval (Float.max (q_min /. 4.0) sleep))
   done
 
 let make (cfg : Config.t) =
@@ -704,18 +640,6 @@ let make (cfg : Config.t) =
         })
       (Array.of_list cfg.Config.subpools)
   in
-  let interval0 =
-    match cfg.Config.preempt_interval with Some dt -> dt | None -> 0.0
-  in
-  let quantum_bounds =
-    if cfg.Config.adaptive then
-      Some
-        ( Option.value cfg.Config.quantum_min
-            ~default:(Quantum.default_min ~base:interval0),
-          Option.value cfg.Config.quantum_max
-            ~default:(Quantum.default_max ~base:interval0) )
-    else None
-  in
   let workers =
     Array.init n (fun wid ->
         {
@@ -723,7 +647,6 @@ let make (cfg : Config.t) =
           w_sp = sp_of.(wid);
           w_slot = slot_of.(wid);
           preempt = Atomic.make false;
-          w_quantum = interval0;
           (* Live spacer between consecutive [preempt] atomics; see the
              [worker] comment. *)
           pad_keep = Array.make 8 0;
@@ -785,8 +708,6 @@ let make (cfg : Config.t) =
       doms = [];
       total_sleepers = Atomic.make 0;
       shutdown = Atomic.make false;
-      preempt_interval = cfg.Config.preempt_interval;
-      quantum_bounds;
       ticker = None;
       preempt_count = Atomic.make 0;
       recorder;
@@ -802,13 +723,9 @@ let make (cfg : Config.t) =
   (* The ticker gets a domain of its own: as a systhread it would share
      worker 0's runtime lock, and a fiber spinning there without a safe
      point would hold it off until OCaml's 50 ms master-lock tick. *)
-  (match (cfg.Config.preempt_interval, quantum_bounds) with
-  | Some dt, Some (q_min, q_max) ->
-      pool.ticker <-
-        Some (Domain.spawn (fun () -> ticker_adaptive pool dt ~q_min ~q_max))
-  | Some dt, None ->
-      pool.ticker <- Some (Domain.spawn (fun () -> ticker_loop pool dt))
-  | None, _ -> ());
+  Option.iter
+    (fun dt -> pool.ticker <- Some (Domain.spawn (fun () -> ticker_loop pool dt)))
+    cfg.Config.preempt_interval;
   pool
 
 let domains pool = Array.length pool.workers
@@ -877,10 +794,8 @@ type subpool_stats = {
   st_leapfrog : int;
   st_parks : int;
   st_pending : int;
-  st_quanta : (int * float) list;
+  st_members : int list;
 }
-
-let adaptive pool = pool.quantum_bounds <> None
 
 let stats pool =
   Array.to_list
@@ -921,11 +836,7 @@ let stats pool =
            st_leapfrog = c !leap;
            st_parks = c !parks;
            st_pending = c (sp.inst.i_length ());
-           st_quanta =
-             Array.to_list
-               (Array.map
-                  (fun wid -> (wid, pool.workers.(wid).w_quantum))
-                  sp.sp_members);
+           st_members = Array.to_list sp.sp_members;
          })
        pool.subpools)
 

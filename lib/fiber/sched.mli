@@ -45,14 +45,18 @@ val subpools : pool -> string list
     reentrant from inside a fiber. *)
 val run : pool -> (unit -> 'a) -> 'a
 
-(** Stop the worker domains and join them.  The pool cannot be reused. *)
+(** Stop the worker domains and join them.  The pool cannot be reused.
+    Fibers still queued when [shutdown] is called never run, and their
+    promises never resolve: drain the pool with {!run} or {!await}
+    first. *)
 val shutdown : pool -> unit
 
 (** [submit pool ~pool:name body] — external submission from {e outside}
     the runtime (or from any fiber): enqueues [body] on the named
     sub-pool (default: the first one) via the scheduler's external path
     and returns its promise.  [prio] as in {!spawn}.
-    @raise Invalid_argument on an unknown sub-pool name. *)
+    @raise Invalid_argument on an unknown sub-pool name, or once the
+    pool is shut down. *)
 val submit : pool -> ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
 
 (** {1 Fiber operations — valid only inside fibers} *)
@@ -146,20 +150,11 @@ type subpool_stats = {
           own queue or the spawning worker's *)
   st_parks : int;  (** condvar sleeps taken by idle members *)
   st_pending : int;  (** scheduler length snapshot *)
-  st_quanta : (int * float) list;
-      (** [(worker id, current preemption quantum in seconds)] per
-          member, slot order.  Pinned at [preempt_interval] on a
-          fixed-interval pool ([0.] without a ticker); on an adaptive
-          pool ({!Config.t}[.adaptive]) it tracks the per-worker
-          quantum the {!Quantum} controller last chose. *)
+  st_members : int list;  (** global worker ids, slot order *)
 }
 
 (** One entry per sub-pool, in configuration order. *)
 val stats : pool -> subpool_stats list
-
-(** True iff the pool was built with [Config.adaptive] (per-worker
-    quanta driven by the {!Quantum} controller). *)
-val adaptive : pool -> bool
 
 (** The pool's flight recorder (armed via [Config.recorder]): every
     successful steal emits [Recorder.ev_pool_steal] with (thief
@@ -170,7 +165,7 @@ val recorder : pool -> Preempt_core.Recorder.t
 
 (** The pool's live telemetry (armed via [Config.telemetry]): the
     preemption ticker samples every worker's state — run-queue depth,
-    steals in/out, park/wake counts, current quantum, utilization since
+    steals in/out, park/wake counts, utilization since
     the last sample — into fixed-capacity per-worker time-series rings
     every [Config.telemetry_every] sweeps.  The live view ([repro top])
     reads it while the pool runs; disabled it costs one boolean load

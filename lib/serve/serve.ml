@@ -19,7 +19,6 @@
    xorshift), so two runs offer byte-identical request sequences and
    test_serve pins the process shapes without touching domains. *)
 
-module Quantum = Fiber.Quantum
 module Hist = Preempt_core.Metrics.Hist
 
 let wall = Unix.gettimeofday
@@ -46,10 +45,9 @@ type config = {
   seed : int;
   domains : int;
   preempt_interval : float option;
-  adaptive : bool;
-  quantum_min : float option;
-  quantum_max : float option;
-  recorder : bool;  (* arm the flight recorder (steals, quantum moves) *)
+  adaptive : bool;  (* always false: [validate] rejects [true] *)
+  recorder : bool;  (* arm the flight recorder (steals, request spans) *)
+  dump : string option;  (* save the flight record here, if [recorder] *)
   telemetry : bool;  (* arm live telemetry (per-worker time series) *)
 }
 
@@ -63,11 +61,10 @@ let default =
     arrival = Poisson;
     seed = 42;
     domains = Fiber.Config.default_domains () + 1;
-    preempt_interval = Some 2e-3;
+    preempt_interval = Some 200e-6;
     adaptive = false;
-    quantum_min = None;
-    quantum_max = None;
     recorder = false;
+    dump = None;
     telemetry = false;
   }
 
@@ -94,6 +91,9 @@ let validate c =
       if not (on_frac > 0.0 && on_frac <= 1.0) then
         reject "arrival.on_frac" (Printf.sprintf "%g" on_frac)
           "within (0, 1]");
+  (* Adaptive quanta were removed; the field survives only so existing
+     config literals that spell out [adaptive = false] still compile. *)
+  if c.adaptive then reject "adaptive" "true" "false (quanta are fixed)";
   (* The telemetry sampler rides the preemption ticker. *)
   if c.telemetry && c.preempt_interval = None then
     reject "telemetry" "true" "combined with preempt_interval"
@@ -204,8 +204,6 @@ type report = {
   r_short : class_report;
   r_long : class_report;
   r_preemptions : int;
-  r_quantum_lo : float;  (* min/max worker quantum at drain time; *)
-  r_quantum_hi : float;  (* both = preempt_interval on a fixed pool *)
   r_subpools : Fiber.subpool_stats list;
   r_flight : Preempt_core.Recorder.event array;  (* empty unless recorder *)
 }
@@ -246,15 +244,13 @@ let class_reports (a : arrivals) lat =
    its way out, exception or not, and the last one releases [drained],
    the only thing the injector ever blocks on. *)
 
-let run ?dump ?on_pool c =
+let run ?on_pool c =
   let a = arrivals c in
   let n = a.n in
   let pool =
     Fiber.make
       (Fiber.Config.make ~domains:c.domains ?preempt_interval:c.preempt_interval
-         ~adaptive:c.adaptive ?quantum_min:c.quantum_min
-         ?quantum_max:c.quantum_max ~recorder:c.recorder
-         ~telemetry:c.telemetry ())
+         ~recorder:c.recorder ~telemetry:c.telemetry ())
   in
   let stop_live = match on_pool with Some f -> f pool | None -> fun () -> () in
   (* Per-request span tracing rides the flight recorder; [traced] is
@@ -325,13 +321,10 @@ let run ?dump ?on_pool c =
   let elapsed = wall () -. !t0 in
   let preemptions = Fiber.preemptions pool in
   let subpools = Fiber.stats pool in
-  let quanta =
-    List.concat_map (fun st -> List.map snd st.Fiber.st_quanta) subpools
-  in
   let flight =
     let r = Fiber.recorder pool in
     if Preempt_core.Recorder.enabled r then begin
-      (match dump with
+      (match c.dump with
       | Some path -> Preempt_core.Recorder.save r ~path
       | None -> ());
       Preempt_core.Recorder.events r
@@ -351,12 +344,6 @@ let run ?dump ?on_pool c =
     r_short = short;
     r_long = long;
     r_preemptions = preemptions;
-    r_quantum_lo =
-      List.fold_left Float.min Float.infinity
-        (if quanta = [] then [ 0.0 ] else quanta);
-    r_quantum_hi =
-      List.fold_left Float.max Float.neg_infinity
-        (if quanta = [] then [ 0.0 ] else quanta);
     r_subpools = subpools;
     r_flight = flight;
   }
@@ -380,15 +367,12 @@ let print_text r =
         Printf.sprintf "bursty %.0f%% of %.0fms" (on_frac *. 100.0)
           (period *. 1e3))
     (c.long_frac *. 100.0) r.r_completed r.r_elapsed;
-  Printf.printf "pool: %d domains (worker 0 injects), preemption %s%s\n"
+  Printf.printf "pool: %d domains (worker 0 injects), preemption %s, %d preemptions\n"
     c.domains
     (match c.preempt_interval with
     | None -> "off"
     | Some dt -> Printf.sprintf "%.0f us" (us dt))
-    (if c.adaptive then
-       Printf.sprintf " adaptive (quantum now %.0f..%.0f us), %d preemptions"
-         (us r.r_quantum_lo) (us r.r_quantum_hi) r.r_preemptions
-     else Printf.sprintf " fixed, %d preemptions" r.r_preemptions);
+    r.r_preemptions;
   let line cr =
     Printf.printf
       "  %-5s %7d/%d done  mean %9.1f us  p50 %9.1f us  p99 %9.1f us  p99.9 \
@@ -434,11 +418,10 @@ let to_json r =
       (jf (quantile_or_nan all 99.9))
   in
   Printf.sprintf
-    "{\"rate\":%s,\"duration\":%s,\"arrival\":%S,\"long_frac\":%s,\"domains\":%d,\"adaptive\":%b,\"preempt_interval_s\":%s,\"offered\":%d,\"completed\":%d,\"elapsed_s\":%s,\"preemptions\":%d,\"quantum_lo_s\":%s,\"quantum_hi_s\":%s,\"short\":%s,\"long\":%s,\"overall\":%s}\n"
+    "{\"rate\":%s,\"duration\":%s,\"arrival\":%S,\"long_frac\":%s,\"domains\":%d,\"preempt_interval_s\":%s,\"offered\":%d,\"completed\":%d,\"elapsed_s\":%s,\"preemptions\":%d,\"short\":%s,\"long\":%s,\"overall\":%s}\n"
     (jf c.rate) (jf c.duration)
     (match c.arrival with Poisson -> "poisson" | Bursty _ -> "bursty")
-    (jf c.long_frac) c.domains c.adaptive
+    (jf c.long_frac) c.domains
     (match c.preempt_interval with None -> "null" | Some dt -> jf dt)
     r.r_offered r.r_completed (jf r.r_elapsed) r.r_preemptions
-    (jf r.r_quantum_lo) (jf r.r_quantum_hi) (cls_json r.r_short)
-    (cls_json r.r_long) all_json
+    (cls_json r.r_short) (cls_json r.r_long) all_json

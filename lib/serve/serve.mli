@@ -12,13 +12,8 @@
     from the request's {e scheduled} arrival instant, so injector
     lateness under overload counts as queueing delay.
 
-    See [docs/serving.md] for the workload model and how the adaptive
-    preemption quantum ({!Quantum}) changes the tail under overload. *)
-
-(** The adaptive-quantum controller (re-export of {!Fiber.Quantum}):
-    [Quantum.next : stats -> float], the pure function the adaptive
-    ticker runs per worker. *)
-module Quantum = Fiber.Quantum
+    See [docs/serving.md] for the workload model and how the
+    preemption quantum sets the short-request tail. *)
 
 type arrival =
   | Poisson  (** exponential inter-arrival gaps at [rate] *)
@@ -38,11 +33,16 @@ type config = {
   arrival : arrival;
   seed : int;
   domains : int;  (** pool size; worker 0 is the injector *)
-  preempt_interval : float option;
-  adaptive : bool;  (** per-worker adaptive quanta ({!Quantum}) *)
-  quantum_min : float option;
-  quantum_max : float option;
+  preempt_interval : float option;  (** the fixed preemption quantum *)
+  adaptive : bool;
+      (** must be [false]: adaptive quanta were removed, and {!validate}
+          rejects [true].  Kept so config literals that set it still
+          compile. *)
   recorder : bool;  (** arm the flight recorder for the run *)
+  dump : string option;
+      (** with [recorder], save the flight record
+          ({!Preempt_core.Recorder.save}) to this path before teardown,
+          for [repro observe --load] attribution *)
   telemetry : bool;
       (** arm live telemetry ({!Preempt_core.Telemetry}): per-worker
           time-series sampling plus per-class rolling sojourn windows;
@@ -50,7 +50,7 @@ type config = {
 }
 
 (** 20k req/s Poisson for 1 s, 5% long (2 ms) / 95% short (20 us),
-    2 ms fixed preemption, recorder off. *)
+    200 us preemption quantum, recorder off. *)
 val default : config
 
 (** @raise Invalid_argument (["Serve: <field> = <value> (must be ...)"])
@@ -84,11 +84,9 @@ type report = {
   r_short : class_report;
   r_long : class_report;
   r_preemptions : int;
-  r_quantum_lo : float;  (** min worker quantum at drain time *)
-  r_quantum_hi : float;  (** max worker quantum at drain time *)
   r_subpools : Fiber.subpool_stats list;
   r_flight : Preempt_core.Recorder.event array;
-      (** flight events when [recorder]: steals, quantum changes, and
+      (** flight events when [recorder]: steals and
           per-request spans ([Recorder.ev_req_arrival] ...
           [ev_req_done]) — every request id is its schedule index, and
           its sojourn decomposes into queueing / service / preemption
@@ -97,13 +95,10 @@ type report = {
 
 (** Build the pool, inject the schedule open-loop, await every
     response, tear the pool down, and report.  Wall-clock heavy by
-    design — this is the load generator, not a unit test.  [?dump]
-    saves the flight record ({!Preempt_core.Recorder.save}) before
-    teardown when the recorder is armed, for [repro observe --load]
-    attribution.  [?on_pool] is called with the freshly built pool
-    before injection starts (the live-view attach point, see
-    {!Top.attach}); the closure it returns is called after the run
-    drains, before pool teardown.
+    design — this is the load generator, not a unit test.  [?on_pool]
+    is called with the freshly built pool before injection starts (the
+    live-view attach point, see {!Top.attach}); the closure it returns
+    is called after the run drains, before pool teardown.
 
     Memory: about 2.3 live words per offered request (the schedule's
     offset and class byte, plus one float sojourn slot); a request's
@@ -113,7 +108,7 @@ type report = {
     a semaphore the injector blocks on once.  If a request raised,
     [run] shuts the pool down and re-raises the first such
     exception. *)
-val run : ?dump:string -> ?on_pool:(Fiber.pool -> unit -> unit) -> config -> report
+val run : ?on_pool:(Fiber.pool -> unit -> unit) -> config -> report
 
 val cls_name : cls -> string
 
@@ -123,6 +118,6 @@ val cls_id : cls -> int
 
 val print_text : report -> unit
 
-(** One-line JSON object (p50/p99/p99.9 per class, quantum range,
-    preemption count). *)
+(** One-line JSON object (p50/p99/p99.9 per class, preemption
+    interval and count). *)
 val to_json : report -> string

@@ -20,7 +20,6 @@ type row = {
   t_steals_out : int;  (* cumulative, sub-pool level *)
   t_parks : int;  (* cumulative *)
   t_wakes : int;  (* cumulative *)
-  t_quantum : float;  (* seconds *)
   t_util : float;  (* 0..1 *)
   t_spark : int array;  (* recent queue-depth series, oldest first *)
 }
@@ -29,8 +28,6 @@ type frame = {
   f_ts : float;  (* seconds since pool start (telemetry clock) *)
   f_rows : row list;  (* worker order *)
   f_subpools : Fiber.subpool_stats list;
-  f_quantum_lo : float;
-  f_quantum_hi : float;
   f_quantiles : (string * int * float * float) list;
       (* (class name, window samples, p50, p99) per telemetry channel *)
 }
@@ -53,8 +50,8 @@ let frame pool =
   List.iter
     (fun st ->
       List.iter
-        (fun (wid, _) -> Hashtbl.replace sub_of wid st.Fiber.st_name)
-        st.Fiber.st_quanta)
+        (fun wid -> Hashtbl.replace sub_of wid st.Fiber.st_name)
+        st.Fiber.st_members)
     stats;
   let n = Tel.n_workers tel in
   let ts = ref 0.0 in
@@ -84,13 +81,9 @@ let frame pool =
             (match last with Some p -> p.Tel.p_steals_out | None -> 0);
           t_parks = (match last with Some p -> p.Tel.p_parks | None -> 0);
           t_wakes = (match last with Some p -> p.Tel.p_wakes | None -> 0);
-          t_quantum = (match last with Some p -> p.Tel.p_quantum | None -> 0.0);
           t_util = (match last with Some p -> p.Tel.p_util | None -> 0.0);
           t_spark = spark;
         })
-  in
-  let quanta =
-    List.concat_map (fun st -> List.map snd st.Fiber.st_quanta) stats
   in
   let quantiles =
     List.init (Tel.channels tel) (fun ch ->
@@ -105,12 +98,6 @@ let frame pool =
     f_ts = !ts;
     f_rows = rows;
     f_subpools = stats;
-    f_quantum_lo =
-      List.fold_left Float.min Float.infinity
-        (if quanta = [] then [ 0.0 ] else quanta);
-    f_quantum_hi =
-      List.fold_left Float.max Float.neg_infinity
-        (if quanta = [] then [ 0.0 ] else quanta);
     f_quantiles = quantiles;
   }
 
@@ -140,8 +127,7 @@ let us v = v *. 1e6
 let frame_to_string f =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
-    (Printf.sprintf "repro top — t=%.2fs  quanta %.0f..%.0f us\n" f.f_ts
-       (us f.f_quantum_lo) (us f.f_quantum_hi));
+    (Printf.sprintf "repro top — t=%.2fs\n" f.f_ts);
   List.iter
     (fun (name, n, p50, p99) ->
       Buffer.add_string buf
@@ -162,15 +148,14 @@ let frame_to_string f =
            st.Fiber.st_batch_stolen st.Fiber.st_leapfrog))
     f.f_subpools;
   Buffer.add_string buf
-    "  wkr sub-pool   depth util%  parks wakes st-in st-out quantum  queue\n";
+    "  wkr sub-pool   depth util%  parks wakes st-in st-out queue\n";
   List.iter
     (fun r ->
       Buffer.add_string buf
         (Printf.sprintf
-           "  %3d %-10s %5d %4.0f%% %6d %5d %5d %6d %6.0fus %s\n" r.t_worker
+           "  %3d %-10s %5d %4.0f%% %6d %5d %5d %6d %s\n" r.t_worker
            r.t_subpool r.t_depth (r.t_util *. 100.0) r.t_parks r.t_wakes
-           r.t_steals_in r.t_steals_out (us r.t_quantum)
-           (sparkline r.t_spark)))
+           r.t_steals_in r.t_steals_out (sparkline r.t_spark)))
     f.f_rows;
   Buffer.contents buf
 
@@ -185,9 +170,9 @@ let frame_to_json f =
       (List.map
          (fun r ->
            Printf.sprintf
-             "{\"worker\":%d,\"subpool\":%S,\"depth\":%d,\"util\":%s,\"parks\":%d,\"wakes\":%d,\"steals_in\":%d,\"steals_out\":%d,\"quantum_s\":%s}"
+             "{\"worker\":%d,\"subpool\":%S,\"depth\":%d,\"util\":%s,\"parks\":%d,\"wakes\":%d,\"steals_in\":%d,\"steals_out\":%d}"
              r.t_worker r.t_subpool r.t_depth (jf r.t_util) r.t_parks r.t_wakes
-             r.t_steals_in r.t_steals_out (jf r.t_quantum))
+             r.t_steals_in r.t_steals_out)
          f.f_rows)
   in
   let pools =
@@ -211,8 +196,8 @@ let frame_to_json f =
          f.f_quantiles)
   in
   Printf.sprintf
-    "{\"ts\":%s,\"quantum_lo_s\":%s,\"quantum_hi_s\":%s,\"classes\":[%s],\"subpools\":[%s],\"workers\":[%s]}"
-    (jf f.f_ts) (jf f.f_quantum_lo) (jf f.f_quantum_hi) qs pools rows
+    "{\"ts\":%s,\"classes\":[%s],\"subpools\":[%s],\"workers\":[%s]}"
+    (jf f.f_ts) qs pools rows
 
 (* ------------------------------------------------------------------ *)
 (* The live thread. *)

@@ -1,8 +1,8 @@
 (** The live view behind [repro top]: a display thread samples a
     pool's {!Preempt_core.Telemetry} rings and {!Fiber.stats} at a
     fixed period (1 Hz default) and renders per-sub-pool worker tables
-    with queue-depth sparklines, steal split, park/wake counts, the
-    adaptive-quanta range, and rolling p50/p99 per service class —
+    with queue-depth sparklines, steal split, park/wake counts and
+    rolling p50/p99 per service class —
     either as an ANSI terminal redraw or as one JSON object per tick
     (JSONL, for machines).
 
@@ -22,7 +22,6 @@ type row = {
   t_steals_out : int;  (** cumulative, sub-pool level *)
   t_parks : int;  (** cumulative *)
   t_wakes : int;  (** cumulative *)
-  t_quantum : float;  (** seconds *)
   t_util : float;  (** 0..1, last sample period *)
   t_spark : int array;  (** recent queue-depth series, oldest first *)
 }
@@ -31,8 +30,6 @@ type frame = {
   f_ts : float;  (** newest sample timestamp (pool clock) *)
   f_rows : row list;  (** worker order *)
   f_subpools : Fiber.subpool_stats list;
-  f_quantum_lo : float;
-  f_quantum_hi : float;
   f_quantiles : (string * int * float * float) list;
       (** per telemetry channel: class name, window sample count,
           rolling p50, rolling p99 (NaN when the window is empty) *)
@@ -52,7 +49,7 @@ val frame_to_string : frame -> string
     clear-screen prefix). *)
 
 val frame_to_json : frame -> string
-(** One-line JSON object: [ts], quanta range, per-class rolling
+(** One-line JSON object: [ts], per-class rolling
     quantiles, per-sub-pool counters, per-worker rows. *)
 
 val attach : ?period:float -> ?out:out_channel -> mode:mode -> Fiber.pool -> (unit -> unit)

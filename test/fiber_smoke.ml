@@ -288,7 +288,7 @@ let serve_span_smoke () =
     }
   in
   let path = Filename.temp_file "serve_span_smoke" ".flt" in
-  let rep = Serve.run ~dump:path cfg in
+  let rep = Serve.run { cfg with Serve.dump = Some path } in
   if rep.Serve.r_completed <> rep.Serve.r_offered then
     fail "span smoke: %d/%d requests completed" rep.Serve.r_completed
       rep.Serve.r_offered;

@@ -236,41 +236,13 @@ let test_fiber_config_validation () =
       ignore
         (Fiber.Config.make ~domains:2 ~subpools:[ sp ~name:"a" ~workers:[ 0 ] () ] ()))
 
-(* The adaptive-quantum knobs speak the same contract: bounds must be
-   sane even when merely latent on a non-adaptive pool, and [adaptive]
-   is meaningless without a base [preempt_interval] to adapt. *)
-let test_fiber_quantum_config_validation () =
-  Alcotest.check_raises "zero quantum_min"
-    (Invalid_argument "Config: quantum_min = 0 (must be positive)") (fun () ->
-      ignore
-        (Fiber.Config.make ~domains:1 ~preempt_interval:1e-3 ~quantum_min:0.0 ()));
-  Alcotest.check_raises "negative quantum_max"
-    (Invalid_argument "Config: quantum_max = -0.002 (must be positive)")
-    (fun () ->
-      ignore
-        (Fiber.Config.make ~domains:1 ~preempt_interval:1e-3
-           ~quantum_max:(-0.002) ()));
-  Alcotest.check_raises "inverted quantum bounds"
-    (Invalid_argument
-       "Config: quantum_min = 0.003 (must be <= quantum_max (0.002))")
-    (fun () ->
-      ignore
-        (Fiber.Config.make ~domains:1 ~preempt_interval:1e-3 ~quantum_min:0.003
-           ~quantum_max:0.002 ()));
-  Alcotest.check_raises "adaptive without a base interval"
-    (Invalid_argument
-       "Config: adaptive = true (must be combined with preempt_interval)")
-    (fun () -> ignore (Fiber.Config.make ~domains:1 ~adaptive:true ()))
-
 (* [Fiber.Config.make] without [~subpools] builds the historical flat
    pool: one "default" sub-pool spanning every worker under the
-   work-stealing scheduler, non-adaptive, with every quantum pinned at
-   [preempt_interval]. *)
+   work-stealing scheduler. *)
 let test_fiber_config_default_pool () =
   let pool = Fiber.make (Fiber.Config.make ~domains:2 ()) in
   Alcotest.(check (list string)) "one default sub-pool" [ "default" ]
     (Fiber.subpools pool);
-  Alcotest.(check bool) "not adaptive" false (Fiber.adaptive pool);
   Alcotest.(check int) "domains" 2 (Fiber.domains pool);
   let v = Fiber.run pool (fun () -> Fiber.await (Fiber.spawn (fun () -> 41 + 1))) in
   Alcotest.(check int) "default pool runs" 42 v;
@@ -281,16 +253,10 @@ let test_fiber_config_default_pool () =
   | sts -> Alcotest.fail (Printf.sprintf "%d stats rows, expected 1" (List.length sts)));
   Fiber.shutdown pool;
   let pool = Fiber.make (Fiber.Config.make ~domains:2 ~preempt_interval:1e-3 ()) in
-  Alcotest.(check bool) "preempting default pool stays non-adaptive" false
-    (Fiber.adaptive pool);
   (match Fiber.stats pool with
   | [ st ] ->
-      Alcotest.(check int) "quantum per member" 2
-        (List.length st.Fiber.st_quanta);
-      List.iter
-        (fun (_, q) ->
-          Alcotest.(check (float 0.0)) "quantum pinned at the interval" 1e-3 q)
-        st.Fiber.st_quanta
+      Alcotest.(check (list int)) "every worker a member" [ 0; 1 ]
+        st.Fiber.st_members
   | sts -> Alcotest.fail (Printf.sprintf "%d stats rows, expected 1" (List.length sts)));
   Fiber.shutdown pool
 
@@ -331,8 +297,6 @@ let suite =
     Alcotest.test_case "Abt.init strategy/suspend knobs" `Quick test_abt_init_strategies;
     Alcotest.test_case "Fiber.Config validation shape" `Quick
       test_fiber_config_validation;
-    Alcotest.test_case "Fiber.Config quantum knobs" `Quick
-      test_fiber_quantum_config_validation;
     Alcotest.test_case "Fiber.Config.make default pool" `Quick
       test_fiber_config_default_pool;
   ]

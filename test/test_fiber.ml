@@ -119,6 +119,28 @@ let test_shutdown_rejects_run () =
   Alcotest.check_raises "rejected" (Invalid_argument "Fiber.run: pool is shut down")
     (fun () -> ignore (Fiber.run pool (fun () -> ())))
 
+let test_shutdown_rejects_submit () =
+  let pool = Fiber.make (Fiber.Config.make ~domains:1 ()) in
+  Fiber.shutdown pool;
+  Alcotest.check_raises "rejected"
+    (Invalid_argument "Fiber.submit: pool is shut down") (fun () ->
+      ignore (Fiber.submit pool (fun () -> ())))
+
+(* Shutdown does not drain: worker 1 finishes the request it is running
+   and exits, leaving the rest of the external queue unrun. *)
+let test_shutdown_with_queued_submits () =
+  let pool = Fiber.make (Fiber.Config.make ~domains:2 ~preempt_interval:1e-3 ()) in
+  let spin () =
+    let until = Unix.gettimeofday () +. 0.02 in
+    while Unix.gettimeofday () < until do
+      ()
+    done
+  in
+  let ps = List.init 50 (fun _ -> Fiber.submit pool spin) in
+  Fiber.shutdown pool;
+  Alcotest.(check bool) "queued requests never ran" false
+    (List.for_all Fiber.is_resolved ps)
+
 let test_parallel_map () =
   with_pool ~domains:3 (fun pool ->
       let r = Fiber.run pool (fun () -> Fiber.parallel_map (fun x -> x * x) [ 1; 2; 3; 4 ]) in
@@ -450,6 +472,10 @@ let suite =
     Alcotest.test_case "preemption ticker" `Quick test_preemption_ticker;
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse_across_runs;
     Alcotest.test_case "shutdown rejects run" `Quick test_shutdown_rejects_run;
+    Alcotest.test_case "shutdown rejects submit" `Quick
+      test_shutdown_rejects_submit;
+    Alcotest.test_case "shutdown with queued submits returns" `Quick
+      test_shutdown_with_queued_submits;
     Alcotest.test_case "parallel_map" `Quick test_parallel_map;
     Alcotest.test_case "targeted spawn" `Quick test_targeted_spawn;
     Alcotest.test_case "unknown sub-pool rejected" `Quick

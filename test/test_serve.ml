@@ -1,90 +1,14 @@
 (* Tests for the serving workload.  Most are deterministic and touch
-   no pool: the adaptive-quantum controller (a pure function of a
-   queueing snapshot), the seeded arrival schedule, the config
-   rejections, and the shared re-measure-once perf gate.  The "run:"
-   cases drive [Serve.run] on a small 2-domain pool, with no ticker, to
-   pin its completion latch and its memory per offered request; they
-   assert counts and heap words, never wall-clock figures. *)
+   no pool: the seeded arrival schedule, the config rejections, and the
+   shared re-measure-once perf gate.  The "run:" cases drive
+   [Serve.run] on a small 2-domain pool, with no ticker, to pin its
+   completion latch and its memory per offered request; they assert
+   counts and heap words, never wall-clock figures. *)
 
-module Q = Serve.Quantum
 module G = Experiments.Gate
 
 let feq msg expected actual =
   Alcotest.(check (float 1e-12)) msg expected actual
-
-(* ------------------------------------------------------------------ *)
-(* Quantum controller. *)
-
-let snap ?(current = 2e-3) ?(base = 2e-3) ?(q_min = 2.5e-4) ?(q_max = 2e-3)
-    ?(depth = 0) ?(members = 1) () =
-  {
-    Q.q_current = current;
-    q_base = base;
-    q_min;
-    q_max;
-    q_depth = depth;
-    q_members = members;
-  }
-
-let test_quantum_monotone_in_depth () =
-  (* Deeper queue, equal-or-shorter quantum — across a wide depth
-     sweep, from the base quantum. *)
-  let prev = ref infinity in
-  for depth = 0 to 64 do
-    let q = Q.next (snap ~depth ()) in
-    Alcotest.(check bool)
-      (Printf.sprintf "next at depth %d <= next at depth %d" depth (depth - 1))
-      true
-      (q <= !prev);
-    prev := q
-  done;
-  (* Strictly shorter as soon as there is any backlog. *)
-  let q0 = Q.next (snap ~depth:0 ()) in
-  let q1 = Q.next (snap ~depth:1 ()) in
-  Alcotest.(check bool) "backlog shrinks the quantum" true (q1 < q0)
-
-let test_quantum_respects_bounds () =
-  (* A huge backlog pins the quantum at the floor, never below. *)
-  let q = Q.next (snap ~depth:1_000_000 ()) in
-  feq "huge depth clamps to q_min" 2.5e-4 q;
-  (* Even from a stale over-range current, the result obeys the
-     ceiling. *)
-  let q = Q.next (snap ~current:1.0 ~depth:0 ~q_max:2e-3 ()) in
-  Alcotest.(check bool) "never exceeds q_max" true (q <= 2e-3);
-  let q = Q.next (snap ~current:1e-9 ~depth:5 ()) in
-  Alcotest.(check bool) "never drops below q_min" true (q >= 2.5e-4)
-
-let test_quantum_members_soften_backlog () =
-  (* The same backlog split across more workers shrinks less. *)
-  let solo = Q.next (snap ~depth:8 ~members:1 ()) in
-  let team = Q.next (snap ~depth:8 ~members:4 ()) in
-  Alcotest.(check bool) "more members, longer quantum" true (team > solo)
-
-let test_quantum_idle_decay () =
-  (* From the floor, each idle decision halves the gap to base and
-     snaps onto base once within 1% — so it converges exactly, fast. *)
-  let base = 2e-3 in
-  let q = ref 2.5e-4 in
-  let steps = ref 0 in
-  while !q <> base && !steps < 64 do
-    let next = Q.next (snap ~current:!q ~base ~depth:0 ()) in
-    Alcotest.(check bool) "idle decay moves toward base" true (next > !q);
-    q := next;
-    incr steps
-  done;
-  feq "idle decay reaches base exactly (1% snap)" base !q;
-  Alcotest.(check bool)
-    (Printf.sprintf "half-gap decay converges quickly (%d steps)" !steps)
-    true (!steps <= 10)
-
-let test_quantum_base_fixpoint () =
-  (* At base with an empty queue the controller holds still. *)
-  feq "base is a fixpoint at depth 0" 2e-3
-    (Q.next (snap ~current:2e-3 ~base:2e-3 ~depth:0 ()))
-
-let test_quantum_defaults () =
-  feq "default floor is base/8" 2.5e-4 (Q.default_min ~base:2e-3);
-  feq "default ceiling is base" 2e-3 (Q.default_max ~base:2e-3)
 
 (* ------------------------------------------------------------------ *)
 (* Arrival schedule: pure, seeded, ascending. *)
@@ -284,6 +208,13 @@ let test_validate_rejections () =
   check_rejects "Serve: arrival.on_frac = 1.5 (must be within (0, 1])"
     { small with Serve.arrival = Serve.Bursty { period = 0.1; on_frac = 1.5 } }
 
+(* Adaptive quanta are gone; the field only survives for old config
+   literals, so turning it on must fail loudly rather than be ignored. *)
+let test_validate_rejects_adaptive () =
+  check_rejects "Serve: adaptive = true (must be false (quanta are fixed))"
+    { small with Serve.adaptive = true };
+  Serve.validate { small with Serve.adaptive = false }
+
 (* ------------------------------------------------------------------ *)
 (* The shared re-measure-once perf gate, driven by stub measurements
    so every branch is exercised without a single wall-clock read. *)
@@ -339,17 +270,6 @@ let test_gate_skip_below_cores () =
 
 let suite =
   [
-    Alcotest.test_case "quantum monotone in depth" `Quick
-      test_quantum_monotone_in_depth;
-    Alcotest.test_case "quantum respects min/max" `Quick
-      test_quantum_respects_bounds;
-    Alcotest.test_case "quantum members soften backlog" `Quick
-      test_quantum_members_soften_backlog;
-    Alcotest.test_case "quantum idle decay to base" `Quick
-      test_quantum_idle_decay;
-    Alcotest.test_case "quantum base fixpoint" `Quick
-      test_quantum_base_fixpoint;
-    Alcotest.test_case "quantum bound defaults" `Quick test_quantum_defaults;
     Alcotest.test_case "schedule deterministic in seed" `Quick
       test_schedule_deterministic;
     Alcotest.test_case "schedule ascending within horizon" `Quick
@@ -360,6 +280,8 @@ let suite =
       test_schedule_bursty_on_window;
     Alcotest.test_case "schedule pinned rows" `Quick test_schedule_pinned;
     Alcotest.test_case "config rejections" `Quick test_validate_rejections;
+    Alcotest.test_case "config rejects adaptive" `Quick
+      test_validate_rejects_adaptive;
     Alcotest.test_case "run: no arrivals" `Quick test_run_no_arrivals;
     Alcotest.test_case "run: class split at long_frac 0/1" `Quick
       test_run_class_split;

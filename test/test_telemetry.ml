@@ -20,7 +20,6 @@ let feed t ~worker i =
     ~ts:(float_of_int i *. 1e-3)
     ~depth:(i mod 5) ~steals_in:i ~steals_out:(i / 2) ~parks:(i * 2)
     ~wakes:((i * 2) - 1)
-    ~quantum:(1e-3 +. (float_of_int i *. 1e-5))
     ~util:(float_of_int (i mod 10) /. 10.0)
 
 (* ------------------------------------------------------------------ *)
@@ -63,9 +62,9 @@ let test_latest () =
 let test_clamping () =
   let t = mk ~capacity:4 () in
   T.sample t ~worker:0 ~ts:0.0 ~depth:(-3) ~steals_in:(-1) ~steals_out:(-2)
-    ~parks:(-4) ~wakes:(-5) ~quantum:1e-3 ~util:7.5;
+    ~parks:(-4) ~wakes:(-5) ~util:7.5;
   T.sample t ~worker:0 ~ts:1.0 ~depth:1 ~steals_in:1 ~steals_out:1 ~parks:1
-    ~wakes:1 ~quantum:1e-3 ~util:(-0.5);
+    ~wakes:1 ~util:(-0.5);
   let s = T.series t ~worker:0 in
   let p0 = s.(0) and p1 = s.(1) in
   Alcotest.(check int) "depth clamped" 0 p0.T.p_depth;
@@ -199,14 +198,11 @@ let test_frame_to_json_shape () =
             t_steals_out = 1;
             t_parks = 10;
             t_wakes = 9;
-            t_quantum = 2e-3;
             t_util = 0.5;
             t_spark = [| 0; 1; 2 |];
           };
         ];
       f_subpools = [];
-      f_quantum_lo = 1e-3;
-      f_quantum_hi = 2e-3;
       f_quantiles = [ ("short", 0, Float.nan, Float.nan) ];
     }
   in
@@ -217,7 +213,7 @@ let test_frame_to_json_shape () =
         (Astring_contains.contains j sub))
     [
       "\"ts\":1.5";
-      "\"quantum_hi_s\":0.002";
+      "\"steals_out\":1";
       "\"class\":\"short\"";
       (* Empty windows serialize as null, not NaN (invalid JSON). *)
       "\"p50_s\":null";
