@@ -412,98 +412,6 @@ let pool_overflow_prog ?(unfenced = false) env =
         "pool-overflow: overflow steal while own sub-pool had runnable work")
     ()
 
-(* Batched steal-half: engine-level counterpart of the real deque's
-   [steal_batch] (lib/fiber/deque.ml).  A bounded ring with
-   free-running [top]/[bottom]: the owner pushes while its room check
-   [bottom - top < cap] says the ring has space, pops from the bottom
-   otherwise, and a thief raids up to half the run per trip.  The
-   sound design iterates per-element claims — each element's
-   emptiness check, copy-out and [top] publish are one engine step,
-   the batched analogue of the classic single-element CAS — so the
-   oracle's exactly-once property holds in every schedule.
-
-   [published] seeds the one-shot range-claim bug the real
-   implementation documents and rejects: the thief publishes the
-   whole claim ([top += k]) first and copies the elements out across
-   schedule points.  The owner's room check then believes the
-   claimed-but-uncopied slots are free, wraps, and overwrites one —
-   the thief copies the new task (double execution) and the
-   overwritten task never runs (lost fiber).  Either way a task's
-   execution count leaves 1 and the checker must catch and shrink
-   it. *)
-let steal_batch_prog ?(published = false) env =
-  let eng = env.Runner.eng in
-  let cap = 4 in
-  let n_tasks = 8 in
-  let slots = Array.make cap (-1) in
-  let top = ref 0 in
-  let bottom = ref 0 in
-  let exec = Array.make n_tasks 0 in
-  let run_task i = if i >= 0 && i < n_tasks then exec.(i) <- exec.(i) + 1 in
-  let fault tag =
-    match Engine.controller eng with
-    | Some c -> Choice.fault c ~tag
-    | None -> false
-  in
-  Engine.spawn eng ~footprint:"deque" "owner" (fun () ->
-      let next = ref 0 in
-      while !next < n_tasks do
-        if !bottom - !top < cap then begin
-          (* Room per the free-running indices: push is one step. *)
-          slots.(!bottom mod cap) <- !next;
-          bottom := !bottom + 1;
-          incr next
-        end
-        else if !bottom > !top then begin
-          (* Ring full: pop the newest instead (one step). *)
-          bottom := !bottom - 1;
-          run_task slots.(!bottom mod cap)
-        end;
-        if fault "deque.stall" then Engine.delay 2e-4;
-        Engine.delay 1e-4
-      done;
-      while !bottom > !top do
-        bottom := !bottom - 1;
-        run_task slots.(!bottom mod cap)
-      done);
-  Engine.spawn eng ~footprint:"deque" "thief" (fun () ->
-      for _raid = 1 to 10 do
-        let run = !bottom - !top in
-        if run > 0 then begin
-          let k = min 2 ((run + 1) / 2) in
-          if published then begin
-            let t0 = !top in
-            top := t0 + k (* whole range claimed before any copy-out *);
-            for j = 0 to k - 1 do
-              Engine.delay 1e-4 (* publish-to-copy window *);
-              run_task slots.((t0 + j) mod cap)
-            done
-          end
-          else
-            (* Iterated claims: check + copy + publish per element in
-               one engine step; stop when the run dries up. *)
-            let rec claim j =
-              if j < k && !bottom - !top > 0 then begin
-                let i = slots.(!top mod cap) in
-                top := !top + 1;
-                run_task i;
-                Engine.delay 1e-4;
-                claim (j + 1)
-              end
-            in
-            claim 0
-        end;
-        Engine.delay 1e-4
-      done);
-  Runner.program
-    ~oracle:(fun () ->
-      Array.iteri
-        (fun i n ->
-          Runner.require (n = 1)
-            "steal-batch: task %d executed %d time(s), expected exactly 1" i n)
-        exec)
-    ()
-
 (* Serving-injector model: the engine-level counterpart of the
    lib/serve open-loop load generator.  An injector ULT publishes
    requests at fixed offsets — never waiting for completions, the
@@ -876,32 +784,6 @@ let all =
       sexhaust = false;
       stags = [ "pool" ];
       prog = pool_overflow_prog ~unfenced:true;
-    };
-    {
-      sname = "steal-batch";
-      sdesc =
-        "batched steal-half: iterated per-element claims keep every task \
-         exactly-once";
-      expect = Pass;
-      sfaults = true;
-      sbudget = 80;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "steal" ];
-      prog = steal_batch_prog ?published:None;
-    };
-    {
-      sname = "steal-batch-published";
-      sdesc =
-        "range claim published before copy-out lets the owner overwrite a \
-         claimed slot";
-      expect = Fail;
-      sfaults = false;
-      sbudget = 80;
-      sstrategy = None;
-      sexhaust = false;
-      stags = [ "steal" ];
-      prog = steal_batch_prog ~published:true;
     };
     {
       sname = "serve-overload";

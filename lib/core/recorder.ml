@@ -80,12 +80,9 @@ let ev_req_resume = 28 (* a = request id (running again after the yield) *)
 
 let ev_req_done = 29 (* a = request id, b = measured sojourn in ns *)
 
-let ev_steal_batch = 30
-(* a = batch size (tasks claimed in one raid, including the one the
-   thief runs itself), b = victim sub-pool id.  Emitted by the real
-   fiber runtime alongside [ev_pool_steal] on every successful
-   batched raid; `repro observe` folds these into the steal-split
-   batch-size histogram. *)
+(* Code 30 is retired: it carried the size of batched steals, a
+   mechanism since removed (every steal now takes one task).  It stays
+   unassigned so old dumps do not decode it as a different event. *)
 
 let code_name = function
   | 1 -> "spawn"
@@ -116,7 +113,6 @@ let code_name = function
   | 27 -> "req-preempt"
   | 28 -> "req-resume"
   | 29 -> "req-done"
-  | 30 -> "steal-batch"
   | c -> Printf.sprintf "code%d" c
 
 (* ------------------------------------------------------------------ *)

@@ -129,12 +129,8 @@ val ev_req_done : int
     nanoseconds — derived from the same clock read as the workload's
     latency sample, so span totals and the sojourn histogram agree). *)
 
-val ev_steal_batch : int
-(** Real fiber runtime: size of a successful batched raid ([a] = tasks
-    claimed in the raid, counting the one the thief runs itself;
-    [b] = victim sub-pool id).  Emitted alongside {!ev_pool_steal} —
-    every raid carries both events — and folded by [repro observe]
-    into the steal-split batch-size histogram. *)
+(* Code 30 is retired (it carried batched-steal sizes) and stays
+   unassigned. *)
 
 val code_name : int -> string
 (** Short stable name of an event code (["spawn"], ["preempt-req"], …). *)

@@ -76,11 +76,6 @@ type steal_split = {
   ss_pairs : (int * int * int) list;
       (** overflow breakdown: (thief sub-pool, victim sub-pool, count),
           sorted *)
-  ss_batches : (int * int) list;
-      (** batch-size histogram from [ev_steal_batch]: (batch size,
-          raids of that size), ascending.  Size counts every task a
-          raid claimed, including the one the thief ran itself; empty
-          for dumps predating batched raids. *)
 }
 
 (* Per-request span decomposition (serving-workload dumps): each
@@ -189,20 +184,14 @@ let consistency_of chains (m : Metrics.snapshot) =
 let steal_split_of events =
   let local = ref 0 in
   let pairs = Hashtbl.create 8 in
-  let batches = Hashtbl.create 8 in
   Array.iter
     (fun (e : Recorder.event) ->
-      if e.Recorder.e_code = Recorder.ev_pool_steal then begin
+      if e.Recorder.e_code = Recorder.ev_pool_steal then
         if e.Recorder.e_a = e.Recorder.e_b then incr local
         else
           let key = (e.Recorder.e_a, e.Recorder.e_b) in
           Hashtbl.replace pairs key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt pairs key))
-      end
-      else if e.Recorder.e_code = Recorder.ev_steal_batch then
-        let size = e.Recorder.e_a in
-        Hashtbl.replace batches size
-          (1 + Option.value ~default:0 (Hashtbl.find_opt batches size)))
+            (1 + Option.value ~default:0 (Hashtbl.find_opt pairs key)))
     events;
   let overflow = Hashtbl.fold (fun _ n acc -> acc + n) pairs 0 in
   if !local = 0 && overflow = 0 then None
@@ -213,9 +202,6 @@ let steal_split_of events =
         ss_overflow = overflow;
         ss_pairs =
           Hashtbl.fold (fun (t, v) n acc -> (t, v, n) :: acc) pairs []
-          |> List.sort compare;
-        ss_batches =
-          Hashtbl.fold (fun size n acc -> (size, n) :: acc) batches []
           |> List.sort compare;
       }
 
@@ -452,21 +438,7 @@ let print_text r =
         (fun (thief, victim, n) ->
           Printf.printf "  sub-pool %d stole %d task(s) from sub-pool %d\n"
             thief n victim)
-        s.ss_pairs;
-      if s.ss_batches <> [] then begin
-        let raids = List.fold_left (fun acc (_, n) -> acc + n) 0 s.ss_batches in
-        let tasks =
-          List.fold_left (fun acc (size, n) -> acc + (size * n)) 0 s.ss_batches
-        in
-        Printf.printf
-          "  batch sizes: %d raid(s) carried %d task(s) (%.2f per raid)\n"
-          raids tasks
-          (float_of_int tasks /. float_of_int (max 1 raids));
-        List.iter
-          (fun (size, n) ->
-            Printf.printf "    size %2d: %d raid(s)\n" size n)
-          s.ss_batches
-      end);
+        s.ss_pairs);
   (match r.r_spans with
   | None -> ()
   | Some s ->
@@ -585,19 +557,14 @@ let to_json r =
   | Some s ->
       Buffer.add_string b
         (Printf.sprintf
-           ",\"steals\":{\"local\":%d,\"overflow\":%d,\"pairs\":[%s],\"batches\":[%s]}"
+           ",\"steals\":{\"local\":%d,\"overflow\":%d,\"pairs\":[%s]}"
            s.ss_local s.ss_overflow
            (String.concat ","
               (List.map
                  (fun (t, v, n) ->
                    Printf.sprintf
                      "{\"thief\":%d,\"victim\":%d,\"count\":%d}" t v n)
-                 s.ss_pairs))
-           (String.concat ","
-              (List.map
-                 (fun (size, n) ->
-                   Printf.sprintf "{\"size\":%d,\"count\":%d}" size n)
-                 s.ss_batches))));
+                 s.ss_pairs))));
   (match r.r_spans with
   | None -> ()
   | Some s ->

@@ -47,11 +47,6 @@ type steal_split = {
   ss_pairs : (int * int * int) list;
       (** overflow breakdown: (thief sub-pool, victim sub-pool, count),
           sorted *)
-  ss_batches : (int * int) list;
-      (** batch-size histogram from [Recorder.ev_steal_batch]: (batch
-          size, raids of that size), ascending; a raid's size counts
-          every task it claimed, including the one the thief ran
-          itself.  Empty for dumps predating batched raids. *)
 }
 
 (** Per-request span decomposition, reconstructed from the

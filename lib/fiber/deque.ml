@@ -186,77 +186,6 @@ let rec steal t =
              index [tp]; someone made progress, so retry. *)
           steal t
 
-(* Batched steal ("steal-half"): claim up to [max] elements, capped at
-   half the run observed on the first probe, returning the oldest and
-   handing the rest — in ring (FIFO) order — to [spill].
-
-   Why this is an *iterated* claim rather than one CAS covering the
-   whole range [tp, tp+k): a one-shot range claim is unsound against
-   this deque's owner, in both possible orders.
-
-   - Copy-out before CAS: the thief reads slots tp..tp+k-1, then CASes
-     [top] from [tp] to [tp+k].  The owner's [pop] plain-takes any
-     index [j] with [j > top]; for k >= 2 the interior indices
-     tp+1..tp+k-1 satisfy that, so the owner can consume one while
-     [top] still reads [tp] — and the thief's CAS, which only
-     witnesses [top], still succeeds.  Both sides return index [j]:
-     double execution.  (The classic k = 1 steal is immune precisely
-     because the only claimed index *is* [top], which the owner may
-     take only by winning the very CAS the thief is attempting.)
-   - CAS before copy-out: once [top] = tp+k is published, the owner's
-     push-grow check ([bottom - top >= capacity]) no longer protects
-     the claimed-but-uncopied slots; a push one lap ahead may rewrite
-     slot [tp land mask] while the thief is still reading it.  Fixing
-     that needs a second "copied up to" index the owner consults —
-     and the owner's race-to-empty restore still erases the evidence
-     of interior pops from a concurrent thief's view of [bottom].
-
-   Closing either hole requires pessimizing the owner's lock-free pop
-   (a per-slot CAS, or a published-reservation handshake read on every
-   near-empty pop).  Instead each iteration below is exactly the
-   proven single steal — fresh [top]/[bottom]/buffer reads validate
-   the slot read, one CAS claims one index — and the batching win is
-   architectural: after the first successful CAS the thief's core
-   holds the [top] cache line exclusively, so the remaining claims are
-   unconteded near-local CASes, and the scheduler above amortizes
-   victim selection, segment probes, counter updates and recorder
-   traffic over the whole batch.  A CAS that fails after the first
-   success means another thief (or the owner's last-element race) is
-   active; we keep what we have instead of fighting for the rest.
-
-   The cap of half the observed run keeps the victim supplied (the
-   steal-half policy from the fork-join work-stealing literature); the
-   front segment is never batched — it holds yield re-queues whose
-   order [push_front] guarantees individually. *)
-let steal_batch t ~max ~spill =
-  if max <= 1 then steal t
-  else
-    match seg_steal t with
-    | Some _ as r -> r
-    | None ->
-        let first = ref None in
-        let taken = ref 0 in
-        let want = ref max in
-        let stop = ref false in
-        while (not !stop) && !taken < !want do
-          let tp = Atomic.get t.top in
-          let b = Atomic.get t.bottom in
-          let run = b - tp in
-          if run <= 0 then stop := true
-          else begin
-            if !taken = 0 then want := Stdlib.min max ((run + 1) / 2);
-            let a = Atomic.get t.buf in
-            let x = a.(tp land (Array.length a - 1)) in
-            if Atomic.compare_and_set t.top tp (tp + 1) then begin
-              (if !taken = 0 then first := x
-               else match x with Some v -> spill v | None -> ());
-              incr taken
-            end
-            else if !taken > 0 then stop := true
-          end
-        done;
-        !first
-
 (* Racy snapshot: [top] may advance and the segment may churn between
    the reads, so concurrent callers get an approximation — good enough
    for victim selection.  Sequentially (owner-only) it is exact.

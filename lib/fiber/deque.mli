@@ -30,19 +30,6 @@ val pop : 'a t -> 'a option
     deque was observed empty (internal CAS races retry). *)
 val steal : 'a t -> 'a option
 
-(** Batched steal ("steal-half").  [steal_batch t ~max ~spill] claims
-    up to [max] elements, capped at half the run observed when the
-    claim starts, from the thief end: the oldest is returned, every
-    further one is passed to [spill] in ring (FIFO) order.  Callable
-    from any domain; each element is claimed by the same validated
-    single-index CAS as {!steal} (see the implementation header for
-    why a one-shot range claim would be unsound against the owner's
-    lock-free pop), so exactly-once delivery is preserved under any
-    interleaving with the owner and other thieves.  A front-segment
-    element (yield re-queue) is never batched: if one is pending it is
-    returned alone.  [max <= 1] degrades to {!steal}. *)
-val steal_batch : 'a t -> max:int -> spill:('a -> unit) -> 'a option
-
 (** Snapshot of the atomic indices plus the front-segment count.
     Exact when no other domain is operating on the deque; under
     concurrency it is an approximation (indices are read one after the

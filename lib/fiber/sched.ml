@@ -4,8 +4,9 @@
    in FIFO registration order (the cons list is reversed once on
    resolve).  [pv] is the join hint: the global id of the worker that
    spawned the fiber behind this promise (-1 when unknown — external
-   submissions, targeted spawns).  A joiner about to suspend takes work
-   from that worker's queue and runs it inline first (see [leapfrog]). *)
+   submissions, targeted spawns).  A joiner about to suspend on that
+   same worker pops its own queue and runs the tasks inline first (see
+   [join_inline]). *)
 type 'a state =
   | Pending of { pw : (unit -> unit) list; pv : int }
   | Resolved of 'a
@@ -34,14 +35,9 @@ type worker = {
   mutable w_spawned : int;
   mutable w_local_steals : int;
   mutable w_overflow_in : int;
-  (* Same discipline: [w_batch_stolen] counts the extra tasks a
-     batched raid flushed into this worker's own queue (beyond the one
-     returned to run); [w_leapfrog] the tasks joiners on this worker
-     ran inline instead of suspending. *)
-  mutable w_batch_stolen : int;
+  (* Same discipline: the tasks joiners on this worker ran inline
+     instead of suspending. *)
   mutable w_leapfrog : int;
-  (* The cached re-push closure handed to batched raids. *)
-  mutable w_spill : (unit -> unit) -> unit;
   (* Park accounting, owner-written on the park slow path only (the
      spin path never touches them): parks/wakes count condvar sleeps,
      [w_idle_s] accumulates the seconds spent inside them.  The
@@ -102,10 +98,12 @@ type _ Effect.t +=
 let current_worker : (pool * worker) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+let not_a_worker () = failwith "Fiber: not inside a fiber runtime worker"
+
 let self () =
   match Domain.DLS.get current_worker with
   | Some pw -> pw
-  | None -> failwith "Fiber: not inside a fiber runtime worker"
+  | None -> not_a_worker ()
 
 (* ------------------------------------------------------------------ *)
 (* Wakeups.
@@ -206,58 +204,29 @@ let next_rand w =
   w.rng_state <- x land max_int;
   w.rng_state
 
-let record_steal pool w ~thief ~victim ~batch =
+let record_steal pool w ~thief ~victim =
   let r = pool.recorder in
-  if Preempt_core.Recorder.enabled r then begin
-    let ts = Unix.gettimeofday () -. pool.rec_t0 in
-    Preempt_core.Recorder.emit r w.wid ts Preempt_core.Recorder.ev_pool_steal
-      thief victim;
-    Preempt_core.Recorder.emit r w.wid ts Preempt_core.Recorder.ev_steal_batch
-      batch victim
-  end
+  if Preempt_core.Recorder.enabled r then
+    Preempt_core.Recorder.emit r w.wid
+      (Unix.gettimeofday () -. pool.rec_t0)
+      Preempt_core.Recorder.ev_pool_steal thief victim
 
-(* Batched-raid caps.  A same-sub-pool raid may carry up to
-   [batch_local] tasks home in one trip (the deque's steal-half cap
-   takes over on short runs, so a victim is never drained past half);
-   cross-sub-pool overflow raids stay small — the thief is only
-   helping out, and hauling a large batch across the isolation
-   boundary would invert the sub-pools' pinning intent. *)
-let batch_local = 8
-let batch_overflow = 2
-
-(* The steal protocol: own sub-pool first (pop, then same-sub-pool
-   batched steal); only a member whose own sub-pool had nothing
-   runnable overflows cross-sub-pool — and only if its sub-pool allows
-   it.  Raids are batched: the first stolen task is returned to run,
-   the rest are flushed into the thief's own slot through [w.w_spill]
-   (which also counts them), amortizing victim selection, counters and
-   flight events over the whole batch.  Every successful raid is
-   attributed: per-worker counters always, an [ev_pool_steal] plus an
-   [ev_steal_batch] (batch size, victim sub-pool) flight event when
-   the recorder is armed.  After a batch with extras we bump the
-   epoch via [notify_push]: the spilled tasks are now stealable from
-   our slot, and a sibling mid-park-protocol must not sleep through
-   them (we would run them eventually, but a waking sibling drains
-   them sooner). *)
+(* The steal protocol: own sub-pool first (pop, then a same-sub-pool
+   steal); only a member whose own sub-pool had nothing runnable
+   overflows cross-sub-pool — and only if its sub-pool allows it.  Each
+   raid takes one task.  Every successful raid is attributed: per-worker
+   counters always, an [ev_pool_steal] flight event when the recorder is
+   armed. *)
 let find_task pool w =
   let sp = pool.subpools.(w.w_sp) in
   match sp.inst.i_pop ~slot:w.w_slot with
   | Some _ as r -> r
   | None -> (
       let rng () = next_rand w in
-      (* [w_batch_stolen] only moves when a raid returns [Some] (spill
-         is never invoked on a failed raid), so one baseline serves
-         both the local and the overflow attempts. *)
-      let b0 = w.w_batch_stolen in
-      match
-        sp.inst.i_steal_batch ~slot:w.w_slot ~rng ~max:batch_local
-          ~spill:w.w_spill
-      with
+      match sp.inst.i_steal ~slot:w.w_slot ~rng with
       | Some _ as r ->
           w.w_local_steals <- w.w_local_steals + 1;
-          let batch = 1 + w.w_batch_stolen - b0 in
-          if batch > 1 then notify_push pool sp;
-          record_steal pool w ~thief:sp.sp_id ~victim:sp.sp_id ~batch;
+          record_steal pool w ~thief:sp.sp_id ~victim:sp.sp_id;
           r
       | None ->
           let k = Array.length pool.subpools in
@@ -269,19 +238,11 @@ let find_task pool w =
                 let v = pool.subpools.((start + i) mod k) in
                 if v.sp_id = sp.sp_id then overflow (i + 1)
                 else
-                  match
-                    v.inst.i_steal_batch ~slot:(-1) ~rng ~max:batch_overflow
-                      ~spill:w.w_spill
-                  with
+                  match v.inst.i_steal ~slot:(-1) ~rng with
                   | Some _ as r ->
                       w.w_overflow_in <- w.w_overflow_in + 1;
-                      let batch = 1 + w.w_batch_stolen - b0 in
-                      (* Spilled tasks migrated too: each one left [v]. *)
-                      for _ = 1 to batch do
-                        Atomic.incr v.sp_stolen_away
-                      done;
-                      if batch > 1 then notify_push pool sp;
-                      record_steal pool w ~thief:sp.sp_id ~victim:v.sp_id ~batch;
+                      Atomic.incr v.sp_stolen_away;
+                      record_steal pool w ~thief:sp.sp_id ~victim:v.sp_id;
                       r
                   | None -> overflow (i + 1)
             in
@@ -405,55 +366,43 @@ let submit p ?pool:target ?(prio = 0) body =
    blocking attempt before falling back to suspension, so a deep queue
    cannot starve the joiner's own continuation indefinitely once the
    promise resolves. *)
-let leapfrog_budget = 32
+let inline_budget = 32
 
-(* Work-first join.  Before suspending on an unresolved promise, take
-   tasks from the queue of the worker that spawned the awaited fiber
-   (the [pv] hint) and run them inline until the promise resolves.
-   When that worker is the joiner itself, the child usually sits at the
-   bottom of its own queue, so an owner pop runs it at once, with no
-   suspend, requeue or resume.  Another worker's queue is
-   raided with a directed steal instead (leapfrogging): the awaited
-   work, or work feeding it, is likely still sitting there.  Only
-   same-sub-pool queues are taken from (the pop and the directed steal
-   go through the sub-pool's scheduler instance, and crossing the
-   boundary would bypass the overflow policy).  The tasks are complete
-   fibers that install their own handlers, so an inline task that
-   blocks or yields is caught by its own handler and control returns
-   here; the joiner then suspends as before if the promise is still
-   pending. *)
-let leapfrog p =
-  match Atomic.get p with
-  | Pending { pv; _ } when pv >= 0 -> (
-      match Domain.DLS.get current_worker with
-      | Some (pool, w) when pv < Array.length pool.workers ->
-          let vw = pool.workers.(pv) in
-          if vw.w_sp = w.w_sp then begin
-            let sp = pool.subpools.(w.w_sp) in
-            let own = vw == w in
-            let budget = ref leapfrog_budget in
-            while !budget > 0 && not (is_resolved p) do
-              match
-                if own then sp.inst.i_pop ~slot:w.w_slot
-                else sp.inst.i_steal_from ~victim:vw.w_slot
-              with
-              | Some task ->
-                  w.w_leapfrog <- w.w_leapfrog + 1;
-                  decr budget;
-                  task ()
-              | None -> budget := 0
-            done
-          end
-      | _ -> ())
-  | _ -> ()
+(* Work-first join.  Before suspending on an unresolved promise whose
+   fiber this same worker spawned (the [pv] hint), pop the worker's own
+   queue and run the tasks inline until the promise resolves.  The child
+   usually sits at the bottom of that queue, so the pop runs it at once,
+   with no suspend, requeue or resume.  A child spawned on another
+   worker is not chased into that worker's queue (a directed steal
+   there measured no gain; docs/INTERNALS.md, "One steal path").  The
+   tasks are complete fibers that install their own handlers, so an
+   inline task that blocks or yields is caught by its own handler and
+   control returns here; the joiner then suspends if the promise is
+   still pending. *)
+let join_inline pool w p =
+  let sp = pool.subpools.(w.w_sp) in
+  let budget = ref inline_budget in
+  while !budget > 0 && not (is_resolved p) do
+    match sp.inst.i_pop ~slot:w.w_slot with
+    | Some task ->
+        w.w_leapfrog <- w.w_leapfrog + 1;
+        decr budget;
+        task ()
+    | None -> budget := 0
+  done
 
+(* Only the suspend path checks that the caller is a worker: a resolved
+   promise is returned from any thread, while performing [Suspend]
+   outside a worker would escape as [Effect.Unhandled]. *)
 let await p =
   let rec value () =
     match Atomic.get p with
     | Resolved v -> v
     | Failed e -> raise e
-    | Pending _ ->
-        leapfrog p;
+    | Pending { pv; _ } ->
+        (match Domain.DLS.get current_worker with
+        | Some (pool, w) -> if pv = w.wid then join_inline pool w p
+        | None -> not_a_worker ());
         if not (is_resolved p) then
           Effect.perform
             (Suspend
@@ -473,7 +422,9 @@ let await p =
   in
   value ()
 
-let yield () = Effect.perform Yield
+let yield () =
+  ignore (self ());
+  Effect.perform Yield
 
 let suspend_or decide = Effect.perform (Suspend_or decide)
 
@@ -483,7 +434,7 @@ let check () =
   if Atomic.get w.preempt then begin
     Atomic.set w.preempt false;
     Atomic.incr pool.preempt_count;
-    yield ()
+    Effect.perform Yield
   end
 
 (* ------------------------------------------------------------------ *)
@@ -654,9 +605,7 @@ let make (cfg : Config.t) =
           w_spawned = 0;
           w_local_steals = 0;
           w_overflow_in = 0;
-          w_batch_stolen = 0;
           w_leapfrog = 0;
-          w_spill = ignore;
           w_parks = 0;
           w_wakes = 0;
           w_idle_s = 0.0;
@@ -666,18 +615,6 @@ let make (cfg : Config.t) =
           pad3 = 0;
         })
   in
-  (* The spill closure a batched raid flushes extra tasks through:
-     fixed per worker (it needs both the worker record and its
-     sub-pool instance, so it is tied after both exist), pushing on
-     the worker's own slot and counting the haul. *)
-  Array.iter
-    (fun w ->
-      let sp = subpools.(w.w_sp) in
-      w.w_spill <-
-        (fun task ->
-          w.w_batch_stolen <- w.w_batch_stolen + 1;
-          sp.inst.i_push ~slot:w.w_slot ~prio:0 task))
-    workers;
   let recorder =
     (* A disabled recorder keeps only a token ring so pools without
        observability pay no memory for it. *)
@@ -804,7 +741,6 @@ let stats pool =
          let spawned = ref (Atomic.get sp.sp_ext_spawned) in
          let local = ref 0 in
          let ovin = ref 0 in
-         let batched = ref 0 in
          let leap = ref 0 in
          let parks = ref 0 in
          Array.iter
@@ -813,7 +749,6 @@ let stats pool =
              spawned := !spawned + w.w_spawned;
              local := !local + w.w_local_steals;
              ovin := !ovin + w.w_overflow_in;
-             batched := !batched + w.w_batch_stolen;
              leap := !leap + w.w_leapfrog;
              parks := !parks + w.w_parks)
            sp.sp_members;
@@ -830,7 +765,7 @@ let stats pool =
            st_local_steals = c !local;
            st_overflow_in = c !ovin;
            st_overflow_out = c (Atomic.get sp.sp_stolen_away);
-           st_batch_stolen = c !batched;
+           st_batch_stolen = 0;
            st_recycled = 0;
            st_recycle_miss = 0;
            st_leapfrog = c !leap;

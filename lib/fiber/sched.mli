@@ -79,19 +79,27 @@ val submit : pool -> ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
 val spawn : ?pool:string -> ?prio:int -> (unit -> 'a) -> 'a promise
 
 (** Wait for a promise; re-raises if the child failed.  Joins are
-    {e work-first}: before suspending on an unresolved promise, the
-    joiner runs queued tasks inline, up to 32 per attempt, until the
-    promise resolves.  If the awaited fiber was spawned on the joiner's
-    own worker, the joiner pops its own queue, where the child usually
-    sits at the bottom, so a typical fork/join runs the child as a
-    nested call with no suspend or requeue.  If another worker of the
-    same sub-pool spawned it, the joiner steals from that worker's
-    queue instead (leapfrogging).  An inline task that blocks or yields
+    {e work-first}: before suspending on an unresolved promise whose
+    fiber was spawned on the joiner's own worker, the joiner pops its
+    own queue and runs the tasks inline, up to 32 per attempt, until
+    the promise resolves.  The child usually sits at the bottom of that
+    queue, so a typical fork/join runs it as a nested call with no
+    suspend or requeue.  A child spawned on another worker is not
+    chased; the joiner suspends.  An inline task that blocks or yields
     is handled by its own fiber, and the joiner suspends only if the
     promise is still pending afterwards.  Inline runs are counted in
-    {!subpool_stats}[.st_leapfrog]. *)
+    {!subpool_stats}[.st_leapfrog].
+
+    A resolved promise may be awaited from any thread.
+    @raise Failure ["Fiber: not inside a fiber runtime worker"] when
+    the promise is unresolved and the caller is not a fiber (for
+    instance the main thread after {!run} or {!shutdown} returned). *)
 val await : 'a promise -> 'a
 
+(** Give way: re-queue the calling fiber behind the other pending work
+    of its worker.
+    @raise Failure ["Fiber: not inside a fiber runtime worker"] outside
+    a fiber, like {!spawn} and {!check}. *)
 val yield : unit -> unit
 
 (** [suspend_or decide] — atomic conditional suspension, the building
@@ -138,16 +146,16 @@ type subpool_stats = {
   st_overflow_in : int;  (** tasks members took from other sub-pools *)
   st_overflow_out : int;  (** tasks other sub-pools took from here *)
   st_batch_stolen : int;
-      (** extra tasks batched raids flushed into members' own queues
-          (beyond the one-per-raid counted by [st_local_steals] /
-          [st_overflow_in]) *)
+      (** always [0]: steals take one task per raid, so there are no
+          extra batched tasks; the field stays so existing readers
+          compile *)
   st_recycled : int;
       (** always [0]: fiber recycling was removed; the field stays so
           existing readers compile *)
   st_recycle_miss : int;  (** always [0], as [st_recycled] *)
   st_leapfrog : int;
-      (** tasks joiners ran inline instead of suspending, from their
-          own queue or the spawning worker's *)
+      (** tasks joiners ran inline from their own queue instead of
+          suspending *)
   st_parks : int;  (** condvar sleeps taken by idle members *)
   st_pending : int;  (** scheduler length snapshot *)
   st_members : int list;  (** global worker ids, slot order *)

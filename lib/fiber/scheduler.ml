@@ -18,20 +18,12 @@
      ([slot >= 0]), or — with [slot = -1] — hand one to a foreign
      worker (cross-sub-pool overflow).  [rng ()] returns a fresh
      non-negative pseudo-random int for victim selection.
-   - [steal_batch ~slot ~rng ~max ~spill]: like [steal], but claim up
-     to [max] tasks from one victim in a single raid: the first is
-     returned, the rest go to [spill] in queue order.  [spill] must
-     never be invoked with an internal lock held (the runtime's spill
-     re-enters [push] on the thief's own scheduler; a held victim lock
-     would build a thief->victim lock cycle across workers raiding
-     each other).  Implementations cap the batch at half the victim's
-     run so the victim stays supplied.
-   - [steal_from ~victim]: directed steal from one member's queue
-     ([0 <= victim < slots]), for joiners leapfrogging on the worker
-     that published the work they are waiting for.  Never touches
-     analysis (aux) work.
    - [length]: racy size snapshot (diagnostics / idleness heuristics),
      never negative.
+
+   Work leaves a member's queue only through [pop] (its owner, including
+   a joiner running its own child inline) and [steal] (one task per
+   raid).
 
    Three policies ship, all behind the same [SCHEDULER] interface:
    [Ws] (the Chase–Lev work stealing the flat pool always had) and
@@ -57,16 +49,6 @@ module type SCHEDULER = sig
   val pop : t -> slot:int -> task option
 
   val steal : t -> slot:int -> rng:(unit -> int) -> task option
-
-  val steal_batch :
-    t ->
-    slot:int ->
-    rng:(unit -> int) ->
-    max:int ->
-    spill:(task -> unit) ->
-    task option
-
-  val steal_from : t -> victim:int -> task option
 
   val length : t -> int
 end
@@ -99,9 +81,8 @@ module Ws : SCHEDULER = struct
   let pop t ~slot = Deque.pop t.deques.(slot)
 
   (* Random probes first (contention spread), then a deterministic
-     sweep so no runnable task can be missed by an idle member.
-     [take] is the per-victim raid (single steal or a batched one). *)
-  let raid t ~slot ~rng ~take =
+     sweep so no runnable task can be missed by an idle member. *)
+  let steal t ~slot ~rng =
     let n = Array.length t.deques in
     let rec probe k =
       if k = 0 then None
@@ -109,7 +90,7 @@ module Ws : SCHEDULER = struct
         let v = rng () mod n in
         if v = slot then probe (k - 1)
         else
-          match take t.deques.(v) with
+          match Deque.steal t.deques.(v) with
           | Some _ as r -> r
           | None -> probe (k - 1)
     in
@@ -120,21 +101,11 @@ module Ws : SCHEDULER = struct
           if i = n then None
           else if i = slot then sweep (i + 1)
           else
-            match take t.deques.(i) with
+            match Deque.steal t.deques.(i) with
             | Some _ as r -> r
             | None -> sweep (i + 1)
         in
         sweep 0
-
-  let steal t ~slot ~rng = raid t ~slot ~rng ~take:Deque.steal
-
-  (* The deque's own steal-half does the batching: one raid claims up
-     to half the victim's run, lock-free ([spill] runs with no lock
-     held by construction). *)
-  let steal_batch t ~slot ~rng ~max ~spill =
-    raid t ~slot ~rng ~take:(fun d -> Deque.steal_batch d ~max ~spill)
-
-  let steal_from t ~victim = Deque.steal t.deques.(victim)
 
   let length t = Array.fold_left (fun acc d -> acc + Deque.length d) 0 t.deques
 end
@@ -164,34 +135,6 @@ module Lq = struct
     let n = Queue.length t.q in
     Mutex.unlock t.m;
     n
-
-  (* Batched pop: up to [max] items, capped at half the queue (the
-     steal-half policy), in one lock hold.  Extras are *returned*
-     (oldest first) rather than spilled under the lock, so the caller
-     can re-push them on its own scheduler without holding this
-     mutex — raiding workers spilling into each other while holding
-     victim locks would otherwise form a lock cycle. *)
-  let pop_batch t ~max =
-    Mutex.lock t.m;
-    let r = Queue.take_opt t.q in
-    let extras =
-      match r with
-      | None -> []
-      | Some _ ->
-          let want =
-            Stdlib.min (max - 1) ((Queue.length t.q + 1) / 2)
-          in
-          let rec take k acc =
-            if k = 0 then List.rev acc
-            else
-              match Queue.take_opt t.q with
-              | Some x -> take (k - 1) (x :: acc)
-              | None -> List.rev acc
-          in
-          take want []
-    in
-    Mutex.unlock t.m;
-    (r, extras)
 end
 
 (* Thread packing (port of lib/core/sched_packing.ml, Algorithm 1):
@@ -249,33 +192,6 @@ module Packing : SCHEDULER = struct
               | None -> sweep (k + 1)
         in
         sweep 0
-
-  (* Batched raid: drain up to half of one pool — shared first, then a
-     sibling's private pool — in a single lock hold, spilling the
-     extras only after the victim mutex is released. *)
-  let steal_batch t ~slot ~rng ~max ~spill =
-    let finish (r, extras) =
-      List.iter spill extras;
-      r
-    in
-    match Lq.pop_batch t.shared ~max with
-    | (Some _, _) as hit -> finish hit
-    | None, _ ->
-        let n = Array.length t.priv in
-        let start = rng () mod n in
-        let rec sweep k =
-          if k = n then None
-          else
-            let v = (start + k) mod n in
-            if v = slot then sweep (k + 1)
-            else
-              match Lq.pop_batch t.priv.(v) ~max with
-              | (Some _, _) as hit -> finish hit
-              | None, _ -> sweep (k + 1)
-        in
-        sweep 0
-
-  let steal_from t ~victim = Lq.pop t.priv.(victim)
 
   let length t =
     Lq.length t.shared + Array.fold_left (fun a q -> a + Lq.length q) 0 t.priv
@@ -384,31 +300,6 @@ module Priority : SCHEDULER = struct
     | Some _ as r -> r
     | None -> aux_fallback t ~slot
 
-  (* Only main (simulation) FIFOs are batched; analysis work is taken
-     one task at a time — batching a LIFO whose whole point is running
-     where its data is would bulk-migrate it away.  Extras spill after
-     the victim mutex is released (see [Lq.pop_batch]). *)
-  let steal_batch t ~slot ~rng ~max ~spill =
-    let n = Array.length t.main in
-    let start = rng () mod n in
-    let rec sweep k =
-      if k = n then None
-      else
-        let v = (start + k) mod n in
-        if v = slot then sweep (k + 1)
-        else
-          match Lq.pop_batch t.main.(v) ~max with
-          | Some _ as r, extras ->
-              List.iter spill extras;
-              r
-          | None, _ -> sweep (k + 1)
-    in
-    match sweep 0 with
-    | Some _ as r -> r
-    | None -> aux_fallback t ~slot
-
-  let steal_from t ~victim = Lq.pop t.main.(victim)
-
   let length t =
     Array.fold_left (fun a q -> a + Lq.length q) 0 t.main
     + Array.fold_left (fun a s -> a + aux_length s) 0 t.aux
@@ -442,9 +333,6 @@ type instance = {
   i_push_front : slot:int -> prio:int -> task -> unit;
   i_pop : slot:int -> task option;
   i_steal : slot:int -> rng:(unit -> int) -> task option;
-  i_steal_batch :
-    slot:int -> rng:(unit -> int) -> max:int -> spill:(task -> unit) -> task option;
-  i_steal_from : victim:int -> task option;
   i_length : unit -> int;
 }
 
@@ -457,8 +345,5 @@ let instantiate (module S : SCHEDULER) ~slots =
     i_push_front = (fun ~slot ~prio x -> S.push_front st ~slot ~prio x);
     i_pop = (fun ~slot -> S.pop st ~slot);
     i_steal = (fun ~slot ~rng -> S.steal st ~slot ~rng);
-    i_steal_batch =
-      (fun ~slot ~rng ~max ~spill -> S.steal_batch st ~slot ~rng ~max ~spill);
-    i_steal_from = (fun ~victim -> S.steal_from st ~victim);
     i_length = (fun () -> S.length st);
   }

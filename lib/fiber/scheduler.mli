@@ -45,29 +45,6 @@ module type SCHEDULER = sig
       non-negative pseudo-random ints for victim selection.  Returning
       [None] means no stealable task was observed. *)
 
-  val steal_batch :
-    t ->
-    slot:int ->
-    rng:(unit -> int) ->
-    max:int ->
-    spill:(task -> unit) ->
-    task option
-  (** Like {!steal}, but claim up to [max] tasks from a single victim
-      in one raid (capped at half the victim's run, so the victim
-      stays supplied): the first is returned, the rest are handed to
-      [spill] in queue order.  Implementations must never invoke
-      [spill] while holding an internal lock — the runtime's spill
-      re-pushes on the thief's own scheduler, and thieves raiding each
-      other under held victim locks would form a lock cycle.
-      Analysis-priority work ([prio > 0] under {!priority}) is never
-      batched.  [max <= 1] behaves as {!steal}. *)
-
-  val steal_from : t -> victim:int -> task option
-  (** Directed steal from member [victim]'s own queue
-      ([0 <= victim < slots]); used by joiners leapfrogging on the
-      worker that published the work they are waiting for.  Never
-      serves analysis (aux) work. *)
-
   val length : t -> int
   (** Racy size snapshot (diagnostics, idleness heuristics); never
       negative. *)
@@ -95,9 +72,6 @@ type instance = {
   i_push_front : slot:int -> prio:int -> task -> unit;
   i_pop : slot:int -> task option;
   i_steal : slot:int -> rng:(unit -> int) -> task option;
-  i_steal_batch :
-    slot:int -> rng:(unit -> int) -> max:int -> spill:(task -> unit) -> task option;
-  i_steal_from : victim:int -> task option;
   i_length : unit -> int;
 }
 

@@ -50,27 +50,18 @@ let deque_stress ~stealers ~items =
     ignore (Atomic.fetch_and_add claimed_sum v);
     Atomic.incr claimed
   in
-  (* Thieves alternate between classic single steals and batched
-     raids of mixed sizes, so the iterated per-element claims race
-     both the owner and each other. *)
+  (* Thieves race the owner and each other for the steal end. *)
   let thieves =
-    List.init stealers (fun t ->
+    List.init stealers (fun _ ->
         Domain.spawn (fun () ->
-            let rounds = ref 0 in
             while Atomic.get claimed < items do
-              incr rounds;
-              let r =
-                if (t + !rounds) land 1 = 0 then Fiber.Deque.steal d
-                else
-                  Fiber.Deque.steal_batch d
-                    ~max:(2 + ((t + !rounds) mod 7))
-                    ~spill:claim
-              in
-              match r with Some v -> claim v | None -> Domain.cpu_relax ()
+              match Fiber.Deque.steal d with
+              | Some v -> claim v
+              | None -> Domain.cpu_relax ()
             done))
   in
   (* Owner: push everything (every 7th value via the front segment),
-     popping a batch every so often so owner pops race the steals. *)
+     popping a run of 16 every so often so owner pops race the steals. *)
   for v = 0 to items - 1 do
     if v mod 7 = 3 then Fiber.Deque.push_front d v else Fiber.Deque.push d v;
     if v mod 64 = 63 then

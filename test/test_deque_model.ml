@@ -42,46 +42,13 @@ let m_steal m =
 
 let m_length m = List.length m.front + List.length m.back
 
-(* Sequential semantics of [steal_batch]: a front-segment element is
-   returned alone (the segment is never batched); otherwise exactly
-   [min max ((run+1)/2)] ring elements leave FIFO from the thief end —
-   the first is the return value, the rest go to [spill] in order.
-   Uncontended, the iterated per-element claims never fail, so the
-   count is deterministic. *)
-let m_steal_batch m ~max =
-  if max <= 1 then (m_steal m, [])
-  else
-    match m.front with
-    | x :: r ->
-        m.front <- r;
-        (Some x, [])
-    | [] -> (
-        match List.rev m.back with
-        | [] -> (None, [])
-        | ring ->
-            let run = List.length ring in
-            let want = min max ((run + 1) / 2) in
-            let rec split k l =
-              if k = 0 then ([], l)
-              else
-                match l with
-                | [] -> ([], [])
-                | x :: r ->
-                    let a, b = split (k - 1) r in
-                    (x :: a, b)
-            in
-            let taken, rest = split want ring in
-            m.back <- List.rev rest;
-            (Some (List.hd taken), List.tl taken))
-
-type op = Push of int | Push_front of int | Pop | Steal | Steal_batch of int
+type op = Push of int | Push_front of int | Pop | Steal
 
 let op_print = function
   | Push v -> Printf.sprintf "push %d" v
   | Push_front v -> Printf.sprintf "push_front %d" v
   | Pop -> "pop"
   | Steal -> "steal"
-  | Steal_batch max -> Printf.sprintf "steal_batch %d" max
 
 (* Push-biased op sequences so the live population regularly exceeds
    the initial capacity of 16 and the ring both grows and wraps. *)
@@ -96,7 +63,6 @@ let ops_arb =
              (2, map (fun v -> Push_front v) small_nat);
              (2, return Pop);
              (2, return Steal);
-             (2, map (fun max -> Steal_batch max) (int_range 0 6));
            ]))
   in
   make ~print:(fun ops -> String.concat "; " (List.map op_print ops)) gen
@@ -122,22 +88,7 @@ let model_check =
               Fiber.Deque.push_front d v;
               m_push_front m v
           | Pop -> agree "pop" step (Fiber.Deque.pop d) (m_pop m)
-          | Steal -> agree "steal" step (Fiber.Deque.steal d) (m_steal m)
-          | Steal_batch max ->
-              let spilled = ref [] in
-              let r =
-                Fiber.Deque.steal_batch d ~max ~spill:(fun v ->
-                    spilled := v :: !spilled)
-              in
-              let mr, mspill = m_steal_batch m ~max in
-              agree "steal_batch first" step r mr;
-              let spilled = List.rev !spilled in
-              if spilled <> mspill then
-                QCheck.Test.fail_reportf
-                  "step %d: steal_batch %d spilled [%s], model says [%s]" step
-                  max
-                  (String.concat "; " (List.map string_of_int spilled))
-                  (String.concat "; " (List.map string_of_int mspill)));
+          | Steal -> agree "steal" step (Fiber.Deque.steal d) (m_steal m));
           if Fiber.Deque.length d <> m_length m then
             QCheck.Test.fail_reportf "step %d: length %d, model says %d" step
               (Fiber.Deque.length d) (m_length m))
@@ -286,156 +237,6 @@ let test_length_never_negative () =
   drain ();
   Alcotest.(check int) "drained exact" 0 (Fiber.Deque.length d)
 
-(* Directed steal_batch shapes: steal-half on a short run, the spill
-   order on a long one, segment precedence, and degradation to a plain
-   steal at [max <= 1]. *)
-let test_steal_batch_shapes () =
-  let spills d ~max =
-    let acc = ref [] in
-    let r = Fiber.Deque.steal_batch d ~max ~spill:(fun v -> acc := v :: !acc) in
-    (r, List.rev !acc)
-  in
-  (* Steal-half: run of 3 and max 8 claims (3+1)/2 = 2. *)
-  let d = Fiber.Deque.create () in
-  List.iter (Fiber.Deque.push d) [ 0; 1; 2 ];
-  Alcotest.(check (pair (option int) (list int)))
-    "half of a short run" (Some 0, [ 1 ]) (spills d ~max:8);
-  Alcotest.(check (option int)) "victim keeps the rest" (Some 2)
-    (Fiber.Deque.pop d);
-  (* FIFO spill order on a long run: first returned, next max-1 spilled. *)
-  let d = Fiber.Deque.create () in
-  for i = 0 to 19 do
-    Fiber.Deque.push d i
-  done;
-  Alcotest.(check (pair (option int) (list int)))
-    "FIFO batch from the thief end"
-    (Some 0, [ 1; 2; 3 ])
-    (spills d ~max:4);
-  Alcotest.(check (option int)) "next steal continues" (Some 4)
-    (Fiber.Deque.steal d);
-  (* A front-segment element is returned alone, never batched. *)
-  let d = Fiber.Deque.create () in
-  List.iter (Fiber.Deque.push d) [ 0; 1; 2; 3 ];
-  Fiber.Deque.push_front d 100;
-  Alcotest.(check (pair (option int) (list int)))
-    "segment element alone" (Some 100, []) (spills d ~max:8);
-  Alcotest.(check (pair (option int) (list int)))
-    "then the ring batches" (Some 0, [ 1 ])
-    (spills d ~max:2);
-  (* max <= 1 degrades to a plain steal. *)
-  Alcotest.(check (pair (option int) (list int)))
-    "max 1 is steal" (Some 2, []) (spills d ~max:1);
-  Alcotest.(check (pair (option int) (list int)))
-    "max 0 is steal" (Some 3, []) (spills d ~max:0);
-  Alcotest.(check (pair (option int) (list int)))
-    "empty" (None, []) (spills d ~max:8)
-
-(* Batched steals across the wraparound and growth boundaries: the
-   free-running indices pass the capacity several times, and the batch
-   spans a ring resize's re-laid-out buffer. *)
-let test_steal_batch_boundaries () =
-  let d = Fiber.Deque.create () in
-  let m = m_create () in
-  (* Advance the indices past the initial capacity with the live
-     population below it, batching as we go. *)
-  for cycle = 0 to 9 do
-    for k = 0 to 9 do
-      let v = (cycle * 10) + k in
-      Fiber.Deque.push d v;
-      m_push m v
-    done;
-    let spilled = ref [] in
-    let r =
-      Fiber.Deque.steal_batch d ~max:4 ~spill:(fun v -> spilled := v :: !spilled)
-    in
-    let mr, mspill = m_steal_batch m ~max:4 in
-    Alcotest.(check (option int))
-      (Printf.sprintf "wrap cycle %d first" cycle)
-      mr r;
-    Alcotest.(check (list int))
-      (Printf.sprintf "wrap cycle %d spills" cycle)
-      mspill (List.rev !spilled);
-    for _ = 1 to 6 do
-      Alcotest.(check (option int)) "wrap pop" (m_pop m) (Fiber.Deque.pop d)
-    done
-  done;
-  (* Growth: push far past capacity, then batch straight across the
-     grown buffer. *)
-  for i = 1000 to 1099 do
-    Fiber.Deque.push d i;
-    m_push m i
-  done;
-  let spilled = ref [] in
-  let r =
-    Fiber.Deque.steal_batch d ~max:8 ~spill:(fun v -> spilled := v :: !spilled)
-  in
-  let mr, mspill = m_steal_batch m ~max:8 in
-  Alcotest.(check (option int)) "grown first" mr r;
-  Alcotest.(check (list int)) "grown spills" mspill (List.rev !spilled);
-  let i = ref 0 in
-  while m_length m > 0 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "drain %d" !i)
-      (m_pop m) (Fiber.Deque.pop d);
-    incr i
-  done;
-  Alcotest.(check int) "drained" 0 (Fiber.Deque.length d)
-
-(* Exactly-once under an owner popping concurrently with a batched
-   thief: every pushed value is claimed by exactly one side.  The
-   owner's race-to-empty and push-restore paths run against the
-   thief's iterated per-element claims.  fiber_smoke's deque stress
-   exercises the same invariant with more thieves and mixed batch
-   sizes. *)
-let test_steal_batch_owner_race () =
-  let items = 30_000 in
-  let d = Fiber.Deque.create () in
-  let seen = Array.init items (fun _ -> Atomic.make 0) in
-  let claim v = Atomic.incr seen.(v) in
-  let stop = Atomic.make false in
-  let thief =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          match Fiber.Deque.steal_batch d ~max:4 ~spill:claim with
-          | Some v -> claim v
-          | None -> Domain.cpu_relax ()
-        done;
-        (* Final sweep so nothing is left when the owner quit early. *)
-        let rec sweep () =
-          match Fiber.Deque.steal_batch d ~max:4 ~spill:claim with
-          | Some v ->
-              claim v;
-              sweep ()
-          | None -> ()
-        in
-        sweep ())
-  in
-  for v = 0 to items - 1 do
-    Fiber.Deque.push d v;
-    if v land 1 = 0 then
-      match Fiber.Deque.pop d with Some x -> claim x | None -> ()
-  done;
-  let rec drain () =
-    match Fiber.Deque.pop d with
-    | Some x ->
-        claim x;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  Domain.join thief;
-  let missing = ref 0 and dup = ref 0 in
-  Array.iter
-    (fun c ->
-      match Atomic.get c with
-      | 0 -> incr missing
-      | 1 -> ()
-      | _ -> incr dup)
-    seen;
-  Alcotest.(check int) "no value lost" 0 !missing;
-  Alcotest.(check int) "no value claimed twice" 0 !dup
-
 let suite =
   [
     QCheck_alcotest.to_alcotest model_check;
@@ -446,9 +247,4 @@ let suite =
     Alcotest.test_case "segment/ring boundary" `Quick test_segment_ring_boundary;
     Alcotest.test_case "length clamps negative transients" `Quick
       test_length_never_negative;
-    Alcotest.test_case "steal_batch shapes" `Quick test_steal_batch_shapes;
-    Alcotest.test_case "steal_batch wrap/growth boundaries" `Quick
-      test_steal_batch_boundaries;
-    Alcotest.test_case "steal_batch owner race exactly-once" `Quick
-      test_steal_batch_owner_race;
   ]

@@ -126,6 +126,29 @@ let test_shutdown_rejects_submit () =
     (Invalid_argument "Fiber.submit: pool is shut down") (fun () ->
       ignore (Fiber.submit pool (fun () -> ())))
 
+(* Outside a worker, a resolved promise is still readable, but a
+   blocking await or a yield must fail with the same error as [spawn]
+   rather than leak the runtime's internal effect.  On one domain, [run]
+   returns as soon as [main] does, so the child it returns never ran. *)
+let test_await_outside_worker () =
+  let pool = Fiber.make (Fiber.Config.make ~domains:1 ()) in
+  let outside = Failure "Fiber: not inside a fiber runtime worker" in
+  let resolved =
+    Fiber.run pool (fun () ->
+        let p = Fiber.spawn (fun () -> 3) in
+        ignore (Fiber.await p);
+        p)
+  in
+  Alcotest.(check int) "resolved promise" 3 (Fiber.await resolved);
+  let child = Fiber.run pool (fun () -> Fiber.spawn (fun () -> 7)) in
+  Alcotest.(check bool) "child never ran" false (Fiber.is_resolved child);
+  Alcotest.check_raises "await after run" outside (fun () ->
+      ignore (Fiber.await child));
+  Alcotest.check_raises "yield outside" outside Fiber.yield;
+  Fiber.shutdown pool;
+  Alcotest.check_raises "await after shutdown" outside (fun () ->
+      ignore (Fiber.await child))
+
 (* Shutdown does not drain: worker 1 finishes the request it is running
    and exits, leaving the rest of the external queue unrun. *)
 let test_shutdown_with_queued_submits () =
@@ -299,10 +322,9 @@ let test_overflow_attribution () =
                 s.ss_pairs))
 
 (* --- Work-first joins -------------------------------------------------
-   [await] runs queued work inline before it suspends: the joiner's own
-   queue when it spawned the child, else a directed steal from the
-   spawning worker.  Each test runs on every built-in scheduler at 1
-   and 2 domains. *)
+   [await] runs queued work inline before it suspends, popping the
+   joiner's own queue when it spawned the child.  Each test runs on
+   every built-in scheduler at 1 and 2 domains. *)
 
 let each_shape f =
   List.iter
@@ -476,6 +498,8 @@ let suite =
       test_shutdown_rejects_submit;
     Alcotest.test_case "shutdown with queued submits returns" `Quick
       test_shutdown_with_queued_submits;
+    Alcotest.test_case "await outside a worker" `Quick
+      test_await_outside_worker;
     Alcotest.test_case "parallel_map" `Quick test_parallel_map;
     Alcotest.test_case "targeted spawn" `Quick test_targeted_spawn;
     Alcotest.test_case "unknown sub-pool rejected" `Quick
